@@ -41,10 +41,15 @@ from repro import obs
 from repro.core.alerts import AlertSink
 from repro.core.config import IDSConfig
 from repro.core.detector import WindowResult
-from repro.core.kernel import KernelWorkspace, WindowBlock, scan_windows
+from repro.core.kernel import (
+    KERNEL_COLUMNS,
+    KernelWorkspace,
+    WindowBlock,
+    scan_windows,
+)
 from repro.core.template import GoldenTemplate
 from repro.exceptions import DetectorError
-from repro.io.columnar import ColumnTrace
+from repro.io.columnar import ChunkSource, ColumnTrace
 from repro.io.trace import Trace
 
 __all__ = ["BatchEntropyEngine", "batch_scan", "DEFAULT_CHUNK_WINDOWS"]
@@ -80,36 +85,21 @@ class BatchEntropyEngine:
         self.sink = sink if sink is not None else AlertSink()
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _window_chunk_source(trace):
-        """Pass through any streaming chunk source, coerce the rest.
-
-        The stream scanner only needs ``len``, ``start_us`` and
-        ``iter_window_chunks``; besides :class:`ColumnTrace` that
-        surface is implemented by :class:`repro.io.blocks.BlockReader`
-        (one inflated block in memory at a time).  Duck typing keeps
-        the core layer free of an io-container import.
-        """
-        if isinstance(trace, ColumnTrace) or (
-            not isinstance(trace, Trace)
-            and hasattr(trace, "iter_window_chunks")
-            and hasattr(trace, "start_us")
-        ):
-            return trace
-        return ColumnTrace.coerce(trace)
-
-    def scan_block(self, trace: Union[Trace, ColumnTrace]) -> WindowBlock:
+    def scan_block(
+        self, trace: Union[Trace, ColumnTrace, ChunkSource]
+    ) -> WindowBlock:
         """Judge every tumbling window, returning the struct-of-arrays
         :class:`WindowBlock` (no per-window objects, no alert emission).
 
         This is the aggregate fast path: callers that only need counts,
         verdicts or entropy series read the block's arrays directly.
-        Streaming-only sources (e.g. a ``BlockReader``) are scanned via
-        :meth:`scan_stream_block` — identical result, bounded memory.
+        Streaming-only sources (any other :class:`ChunkSource`, e.g. a
+        ``BlockReader``) are scanned via :meth:`scan_stream_block` —
+        identical result, bounded memory.
         """
-        source = self._window_chunk_source(trace)
-        if not isinstance(source, ColumnTrace):
-            return self.scan_stream_block(source)
+        if not isinstance(trace, ColumnTrace) and isinstance(trace, ChunkSource):
+            return self.scan_stream_block(trace)
+        source = ColumnTrace.coerce(trace)
         if len(source) == 0:
             return WindowBlock.empty(self.config.n_bits, self.config.window_us)
         reg = obs.active()
@@ -120,7 +110,7 @@ class BatchEntropyEngine:
 
     def scan_stream_block(
         self,
-        trace: Union[Trace, ColumnTrace],
+        trace: Union[Trace, ColumnTrace, ChunkSource],
         chunk_windows: int = DEFAULT_CHUNK_WINDOWS,
     ) -> WindowBlock:
         """Chunked :meth:`scan_block`: bounded peak memory, identical
@@ -131,11 +121,17 @@ class BatchEntropyEngine:
         once at the trace's first timestamp; each chunk runs through
         the same fused kernel with a shared workspace, and the
         per-chunk blocks concatenate into a block bit-identical to the
-        whole-trace scan.  On a memory-mapped trace only the chunk
-        currently being scanned is paged in; on a block-compressed
-        ``BlockReader`` only one inflated block is ever held.
+        whole-trace scan.  Chunks are asked for the kernel's columns
+        only (:data:`~repro.core.kernel.KERNEL_COLUMNS`).  On a
+        memory-mapped trace only the chunk currently being scanned is
+        paged in; on a block-compressed ``BlockReader`` only one
+        inflated block is ever held, and only those columns of it are
+        inflated.  Record traces are converted on entry.
         """
-        ct = self._window_chunk_source(trace)
+        if isinstance(trace, ColumnTrace) or isinstance(trace, ChunkSource):
+            ct = trace  # the cheap exact check first: protocol checks are slow
+        else:
+            ct = ColumnTrace.coerce(trace)
         if len(ct) == 0:
             return WindowBlock.empty(self.config.n_bits, self.config.window_us)
         origin = ct.start_us
@@ -147,7 +143,7 @@ class BatchEntropyEngine:
             # Telemetry off: the untouched loop — one branch, zero
             # allocations beyond what the scan itself needs.
             for chunk in ct.iter_window_chunks(
-                self.config.window_us, chunk_windows
+                self.config.window_us, chunk_windows, columns=KERNEL_COLUMNS
             ):
                 block = scan_windows(
                     chunk,
@@ -163,7 +159,11 @@ class BatchEntropyEngine:
             # Traced twin: chunk fetch (IO/decompress side) and kernel
             # timed separately so span sums attribute the wall clock.
             chunks = iter(
-                ct.iter_window_chunks(self.config.window_us, chunk_windows)
+                ct.iter_window_chunks(
+                    self.config.window_us,
+                    chunk_windows,
+                    columns=KERNEL_COLUMNS,
+                )
             )
             while True:
                 with reg.span("engine.chunk"):
@@ -190,7 +190,9 @@ class BatchEntropyEngine:
                 blocks, self.config.n_bits, self.config.window_us
             )
 
-    def scan(self, trace: Union[Trace, ColumnTrace]) -> List[WindowResult]:
+    def scan(
+        self, trace: Union[Trace, ColumnTrace, ChunkSource]
+    ) -> List[WindowResult]:
         """Judge every tumbling window of a recorded capture.
 
         Produces the identical :class:`WindowResult` sequence the
@@ -203,7 +205,7 @@ class BatchEntropyEngine:
 
     def scan_stream(
         self,
-        trace: Union[Trace, ColumnTrace],
+        trace: Union[Trace, ColumnTrace, ChunkSource],
         chunk_windows: int = DEFAULT_CHUNK_WINDOWS,
     ) -> List[WindowResult]:
         """Chunked :meth:`scan`: same results, same alerts, bounded

@@ -48,7 +48,13 @@ from repro.core.entropy import binary_entropy
 from repro.core.template import GoldenTemplate
 from repro.exceptions import DetectorError
 
-__all__ = ["KernelWorkspace", "WindowBlock", "scan_windows"]
+__all__ = ["KERNEL_COLUMNS", "KernelWorkspace", "WindowBlock", "scan_windows"]
+
+#: The columns :func:`scan_windows` reads — the detector judges a window
+#: from identifier bits and times alone; ``is_attack`` only feeds the
+#: ground-truth ``n_attack_messages``.  Chunked scans ask their source
+#: for these and nothing else.
+KERNEL_COLUMNS = ("timestamp_us", "can_id", "is_attack")
 
 #: Bits per packed partial-count field.  A field accumulates one bit's
 #: 1-count for one window, so windows must stay below ``2**16`` messages

@@ -194,7 +194,11 @@ class WatchDaemon:
         self.drift_limit = drift_limit
         self.chunk_windows = chunk_windows
         self.log = log or (lambda line: None)
+        #: Recent cycle results: :meth:`run` keeps only its own cycles
+        #: when bounded by ``max_cycles``, else only the latest one, so
+        #: a daemon that runs for months holds one cycle's reports.
         self.cycles: List[CycleResult] = []
+        self._cycle_count = 0
         self._stop_reason: Optional[str] = None
         self._previous_handlers: dict = {}
         self._current_interval = self.interval_s
@@ -284,13 +288,14 @@ class WatchDaemon:
                 else:
                     retrained.append(vehicle_id)
         cycle = CycleResult(
-            index=len(self.cycles),
+            index=self._cycle_count,
             report=report,
             retrained=retrained,
             retrain_skipped=skipped,
             compacted=compacted,
             duration_s=time.perf_counter() - start,
         )
+        self._cycle_count += 1
         self.cycles.append(cycle)
         event = cycle.to_event()
         reg = obs.active()
@@ -349,17 +354,24 @@ class WatchDaemon:
             time.sleep(min(0.1, remaining))
 
     def run(self, max_cycles: Optional[int] = None) -> List[CycleResult]:
-        """Cycle until stopped; returns every cycle's result.
+        """Cycle until stopped; returns the cycles it keeps.
 
-        ``max_cycles`` bounds the loop (tests, one-shot cron use);
-        ``None`` runs until :meth:`request_stop`, a signal (after
-        :meth:`install_signal_handlers`) or the stop file.
+        ``max_cycles`` bounds the loop (tests, one-shot cron use) and
+        every cycle of this call is returned; ``None`` runs until
+        :meth:`request_stop`, a signal (after
+        :meth:`install_signal_handlers`) or the stop file, keeping only
+        the latest cycle — each one holds every vehicle's full report.
         """
         interval = self.interval_s
+        self.cycles.clear()
+        ran = 0
         try:
             while not self._stop_requested():
                 cycle = self.run_cycle()
-                if max_cycles is not None and len(self.cycles) >= max_cycles:
+                ran += 1
+                if max_cycles is None:
+                    del self.cycles[:-1]
+                elif ran >= max_cycles:
                     self._stop_reason = f"max cycles {max_cycles}"
                     break
                 if cycle.did_work:

@@ -42,10 +42,12 @@ reader seeks the trailer first, so both directions are O(block)
 memory.  Alignment rule: blocks are cut on frame boundaries only —
 every block holds exactly ``block_frames`` rows (the last may be
 short) with its payload offsets rebased to 0 — and window alignment
-is applied at *read* time by merging each block with the carry of the
-previous one, so any ``(window_us, chunk_windows)`` grid scans
+is applied at *read* time by joining the carry (the previous block's
+open grid chunk) with the next block's rows up to the carry's chunk
+boundary, so any ``(window_us, chunk_windows)`` grid scans
 bit-identically to the in-RAM path.  Unknown index versions are
-refused up front (``version`` gate), like the npz schema gate.
+refused up front (``version`` gate), like the npz schema gate, and so
+is an index whose frame count disagrees with its blocks.
 
 Decoded block columns land in the process-wide
 :mod:`repro.io.blockcache` LRU (keyed by path + stat fingerprint +
@@ -60,7 +62,16 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Collection,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -69,7 +80,12 @@ from repro.exceptions import TraceFormatError
 from repro.io import codecs as npb_codecs
 from repro.io.blockcache import DecodedBlockCache, default_cache, file_fingerprint
 from repro.io.codecs import CODEC_NAMES, CodecUnsuitable
-from repro.io.columnar import ColumnTrace
+from repro.io.columnar import (
+    COLUMN_DTYPES,
+    COLUMNS,
+    ColumnTrace,
+    column_projection,
+)
 from repro.io.trace import Trace
 
 __all__ = ["BlockReader", "BlockWriter", "write_blocks", "BLOCKS_SUFFIX"]
@@ -92,16 +108,7 @@ DEFAULT_BLOCK_FRAMES = 262_144
 DEFAULT_LEVEL = 6
 
 #: Per-block column order (also the byte order inside the file).
-_COLUMNS = (
-    "timestamp_us",
-    "can_id",
-    "payload",
-    "payload_offsets",
-    "extended",
-    "is_attack",
-    "source_code",
-    "bus_code",
-)
+_COLUMNS = COLUMNS
 
 #: Codec candidates per column, tried in order on the first block; the
 #: smallest compressed result wins (``raw`` is always a candidate, so
@@ -467,14 +474,22 @@ def write_blocks(
                 writer.append(chunk)
 
 
+def _join(parts: List[ColumnTrace], columns) -> ColumnTrace:
+    """One grid chunk from its time-ordered parts (as is when whole)."""
+    if len(parts) == 1:
+        return parts[0]
+    return ColumnTrace.merge(*parts, columns=columns)
+
+
 class BlockReader:
     """One-block-at-a-time reader for the ``.npb`` container.
 
-    Exposes the same streaming surface as a :class:`ColumnTrace`
-    (``len``, ``start_us``/``end_us``, ``iter_window_chunks``), so
+    A :class:`~repro.io.columnar.ChunkSource` like :class:`ColumnTrace`
+    (``len``, ``start_us``, ``iter_window_chunks``), so
     ``BatchEntropyEngine.scan_stream`` accepts it directly: peak memory
-    is one inflated block merged with one window-grid carry, no matter
-    how large the capture is.
+    is one inflated block plus one window-grid carry, no matter how
+    large the capture is, and a scan inflates only the columns its
+    kernel reads.
 
     Decode path: compressed bytes are read into a reusable scratch
     buffer (``readinto`` + ``memoryview`` — no transient read
@@ -557,6 +572,21 @@ class BlockReader:
             raise TraceFormatError(
                 f"block trace schema version {version} not supported "
                 f"(expected one of {list(_READABLE)})"
+            )
+        try:
+            n_frames = int(index["n_frames"])
+            rows = sum(int(block["rows"]) for block in index["blocks"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceFormatError(
+                f"not a block-compressed trace: {self.path} "
+                f"(bad index: {exc!r})"
+            ) from exc
+        if rows != n_frames:
+            # len() and the scans trust n_frames: an index that
+            # disagrees with its blocks would drop or invent frames.
+            raise TraceFormatError(
+                f"{self.path}: index says {n_frames} frames but its "
+                f"blocks hold {rows}"
             )
         return index
 
@@ -690,41 +720,76 @@ class BlockReader:
             arr = self._cache.put(key, arr)
         return arr
 
-    def _inflate_columns(self, i: int, reg) -> Dict[str, np.ndarray]:
-        """Decode every column of block ``i`` (the IO cost)."""
-        return {name: self._column_array(i, name, reg) for name in _COLUMNS}
+    def _inflate_columns(
+        self, i: int, names: Tuple[str, ...], reg
+    ) -> Dict[str, np.ndarray]:
+        """Decode the named columns of block ``i`` (the IO cost)."""
+        return {name: self._column_array(i, name, reg) for name in names}
 
-    def read_block(self, i: int) -> ColumnTrace:
-        """Inflate block ``i`` into an in-RAM :class:`ColumnTrace`."""
+    def read_block(
+        self, i: int, columns: Optional[Collection[str]] = None
+    ) -> ColumnTrace:
+        """Inflate block ``i`` into an in-RAM :class:`ColumnTrace`.
+
+        ``columns`` projects the read (see
+        :func:`~repro.io.columnar.column_projection`): only those
+        columns are inflated, CRC-checked and validated; the others
+        keep the :class:`ColumnTrace` constructor's absent defaults.
+        Either way the timestamps must not decrease and must start and
+        end where the index says.  Without a projection every column is
+        decoded and validated.
+        """
+        names = column_projection(columns)
         entry = self.blocks[i]
         rows = int(entry["rows"])
         reg = obs.active()
         if reg is None:
-            arrays = self._inflate_columns(i, None)
+            arrays = self._inflate_columns(i, names, None)
         else:
             with reg.span("io.decompress", block=i, rows=rows):
-                arrays = self._inflate_columns(i, reg)
-        expected = {name: rows for name in _COLUMNS}
-        expected["payload_offsets"] = rows + 1
-        expected["payload"] = arrays["payload"].size
-        for name in _COLUMNS:
-            if arrays[name].size != expected[name]:
+                arrays = self._inflate_columns(i, names, reg)
+        for name, arr in arrays.items():
+            if arr.dtype != COLUMN_DTYPES[name]:
                 raise TraceFormatError(
-                    f"{self.path}: block {i} column {name!r} has "
-                    f"{arrays[name].size} entries, expected {expected[name]}"
+                    f"{self.path}: block {i} column {name!r} has dtype "
+                    f"{arr.dtype}, expected {COLUMN_DTYPES[name]}"
                 )
-        return ColumnTrace(
-            arrays["timestamp_us"],
-            arrays["can_id"],
-            payload=arrays["payload"],
-            payload_offsets=arrays["payload_offsets"],
-            extended=arrays["extended"],
-            is_attack=arrays["is_attack"],
-            source_code=arrays["source_code"],
+        ts = arrays["timestamp_us"]
+        if ts.size != rows:
+            raise TraceFormatError(
+                f"{self.path}: block {i} has {ts.size} timestamps, index "
+                f"says {rows} rows"
+            )
+        if rows and (
+            int(ts[0]) != int(entry["start_us"])
+            or int(ts[-1]) != int(entry["end_us"])
+        ):
+            raise TraceFormatError(
+                f"{self.path}: block {i} spans {int(ts[0])}..{int(ts[-1])} "
+                f"us, index says {entry['start_us']}..{entry['end_us']} us"
+            )
+        if np.any(ts[1:] < ts[:-1]):
+            raise TraceFormatError(
+                f"{self.path}: block {i} timestamps are not non-decreasing"
+            )
+        trace = ColumnTrace(
+            ts,
+            arrays.get("can_id"),
+            payload=arrays.get("payload"),
+            payload_offsets=arrays.get("payload_offsets"),
+            extended=arrays.get("extended"),
+            is_attack=arrays.get("is_attack"),
+            source_code=arrays.get("source_code"),
             source_table=self.source_table,
-            bus_code=arrays["bus_code"],
+            bus_code=arrays.get("bus_code"),
             bus_table=self.bus_table,
+            validate=False,
         )
+        try:
+            trace._check_layout(names)
+        except TraceFormatError as exc:
+            raise TraceFormatError(f"{self.path}: block {i}: {exc}") from exc
+        return trace
 
     def iter_blocks(self) -> Iterator[ColumnTrace]:
         """Yield every block in order, one inflated at a time."""
@@ -795,16 +860,24 @@ class BlockReader:
         chunk_windows: int,
         *,
         origin_us: Optional[int] = None,
+        columns: Optional[Collection[str]] = None,
     ) -> Iterator[ColumnTrace]:
         """Window-grid-aligned chunks, one block in memory at a time.
 
         Blocks are cut on frame boundaries, not window boundaries; the
-        alignment rule is applied here: each block merges with the
-        carry (the previous block's final, possibly-incomplete grid
-        chunk) and every chunk except the running last one is yielded.
-        The result is exactly the chunk stream
+        alignment rule is applied here, by splitting each block at the
+        first grid boundary after the carry (the open, last grid chunk
+        so far).  The block's head joins the carry in one
+        :meth:`ColumnTrace.merge` of O(chunk) rows; the rest of the
+        block is sliced into chunks zero-copy.  Blocks are written in
+        time order, so the join only checks that time does not run
+        backwards across the block edge — a block that starts before
+        the carry ends is a :class:`TraceFormatError`.  The result is
+        exactly the chunk stream
         ``self.to_columns().iter_window_chunks(...)`` would produce,
-        with O(block + chunk) peak memory.
+        with O(block + chunk) peak memory.  ``columns`` is passed to
+        :meth:`read_block` and the join: only those columns are
+        inflated and merged.
         """
         if window_us <= 0:
             raise ValueError(f"window must be positive, got {window_us}")
@@ -813,20 +886,37 @@ class BlockReader:
                 f"chunk_windows must be positive, got {chunk_windows}"
             )
         t0 = self.start_us if origin_us is None else int(origin_us)
-        carry: Optional[ColumnTrace] = None
-        for block in self.iter_blocks():
-            if carry is not None and len(carry):
-                block = ColumnTrace.merge(carry, block)
-            carry = None
+        span = int(window_us) * int(chunk_windows)
+        # The open grid chunk, as time-ordered parts from one or more
+        # blocks; merged once, when a later block closes it.
+        carry: List[ColumnTrace] = []
+        for i in range(len(self.blocks)):
+            block = self.read_block(i, columns)
+            if carry:
+                if block.start_us < carry[-1].end_us:
+                    raise TraceFormatError(
+                        f"{self.path}: block {i} starts at "
+                        f"{block.start_us} us, before the previous "
+                        f"block's last frame at {carry[-1].end_us} us"
+                    )
+                k = (carry[0].start_us - t0) // span
+                cut = int(
+                    np.searchsorted(
+                        block.timestamp_us, t0 + (k + 1) * span, side="left"
+                    )
+                )
+                if cut:
+                    carry.append(block.slice(0, cut))
+                if cut == len(block):
+                    continue
+                yield _join(carry, columns)
+                block = block.slice(cut, len(block))
             chunks = list(
                 block.iter_window_chunks(
                     window_us, chunk_windows, origin_us=t0
                 )
             )
-            if not chunks:
-                continue
-            carry = chunks.pop()
-            for chunk in chunks:
-                yield chunk
-        if carry is not None and len(carry):
-            yield carry
+            carry = chunks[-1:]
+            yield from chunks[:-1]
+        if carry:
+            yield _join(carry, columns)

@@ -22,7 +22,18 @@ import io
 import struct
 import warnings
 import zipfile
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Collection,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    Union,
+    runtime_checkable,
+)
 
 import numpy as np
 
@@ -31,7 +42,81 @@ from repro.can.constants import SECOND_US
 from repro.exceptions import TraceFormatError
 from repro.io.trace import Trace, TraceRecord
 
-__all__ = ["ColumnTrace", "npz_is_compressed"]
+__all__ = [
+    "COLUMNS",
+    "COLUMN_DTYPES",
+    "ChunkSource",
+    "ColumnTrace",
+    "column_projection",
+    "npz_is_compressed",
+]
+
+#: Every column of a :class:`ColumnTrace` with its dtype, in the order
+#: the ``.npz`` and ``.npb`` containers store them.
+COLUMN_DTYPES = {
+    "timestamp_us": np.dtype(np.int64),
+    "can_id": np.dtype(np.int64),
+    "payload": np.dtype(np.uint8),
+    "payload_offsets": np.dtype(np.int64),
+    "extended": np.dtype(bool),
+    "is_attack": np.dtype(bool),
+    "source_code": np.dtype(np.int32),
+    "bus_code": np.dtype(np.int32),
+}
+COLUMNS = tuple(COLUMN_DTYPES)
+
+#: Interned columns and the string table each indexes.
+_CODE_TABLES = {"source_code": "source_table", "bus_code": "bus_table"}
+
+
+def column_projection(columns: Optional[Collection[str]]) -> Tuple[str, ...]:
+    """The columns a projected read decodes, in storage order.
+
+    ``None`` means every column.  ``timestamp_us`` is always included:
+    the window grid and every ordering check run on it.  ``payload``
+    and ``payload_offsets`` come as a pair: neither means anything
+    alone.  Unknown names raise ``ValueError``.
+    """
+    if columns is None:
+        return COLUMNS
+    wanted = set(columns)
+    unknown = wanted.difference(COLUMNS)
+    if unknown:
+        raise ValueError(
+            f"unknown column(s) {sorted(unknown)}; columns are "
+            f"{', '.join(COLUMNS)}"
+        )
+    wanted.add("timestamp_us")
+    if wanted & {"payload", "payload_offsets"}:
+        wanted |= {"payload", "payload_offsets"}
+    return tuple(name for name in COLUMNS if name in wanted)
+
+
+@runtime_checkable
+class ChunkSource(Protocol):
+    """What a chunked scan needs from a capture.
+
+    A frame count, the first timestamp (the window-grid origin) and
+    window-aligned chunks.  ``columns`` names the columns the consumer
+    reads; a source may leave the others at the :class:`ColumnTrace`
+    constructor's absent defaults.  :class:`ColumnTrace` (zero-copy
+    slices, nothing to skip) and :class:`repro.io.blocks.BlockReader`
+    (which then inflates only those columns) implement it.
+    """
+
+    def __len__(self) -> int: ...
+
+    @property
+    def start_us(self) -> int: ...
+
+    def iter_window_chunks(
+        self,
+        window_us: int,
+        chunk_windows: int,
+        *,
+        origin_us: Optional[int] = None,
+        columns: Optional[Collection[str]] = None,
+    ) -> Iterator["ColumnTrace"]: ...
 
 
 def npz_is_compressed(path) -> bool:
@@ -179,7 +264,9 @@ class ColumnTrace:
       multi-bus fan-in; see :meth:`with_bus`).
 
     Instances are immutable by convention: operations return new views
-    or new traces, never mutate columns in place.
+    or new traces, never mutate columns in place.  Every column but
+    ``timestamp_us`` may be left out (``None``): absent columns default
+    to zeros (no payload bytes, no attacks, code 0).
     """
 
     __slots__ = (
@@ -211,8 +298,11 @@ class ColumnTrace:
         validate: bool = True,
     ) -> None:
         self.timestamp_us = _as_array(timestamp_us, np.int64)
-        self.can_id = _as_array(can_id, np.int64)
         n = self.timestamp_us.size
+        self.can_id = (
+            _as_array(can_id, np.int64) if can_id is not None
+            else np.zeros(n, dtype=np.int64)
+        )
         self.payload = (
             _as_array(payload, np.uint8) if payload is not None
             else np.empty(0, dtype=np.uint8)
@@ -247,27 +337,18 @@ class ColumnTrace:
         if len(self) and np.any(np.diff(self.timestamp_us) < 0):
             raise TraceFormatError("timestamps must be non-decreasing")
 
-    #: Expected (dtype, ndim) of every per-record column; the layout
-    #: check guards operations (like :meth:`merge`) that would otherwise
-    #: surface malformed inputs as cryptic numpy broadcast errors.
-    _COLUMN_DTYPES = {
-        "timestamp_us": np.dtype(np.int64),
-        "can_id": np.dtype(np.int64),
-        "extended": np.dtype(bool),
-        "is_attack": np.dtype(bool),
-        "source_code": np.dtype(np.int32),
-        "bus_code": np.dtype(np.int32),
-    }
-
-    def _check_layout(self) -> None:
+    def _check_layout(self, columns: Collection[str] = COLUMNS) -> None:
         """Validate column dtypes, shapes and offset consistency.
 
         Everything except timestamp monotonicity — cheap enough to run
         on every merge, raising :class:`TraceFormatError` instead of
         letting ragged arrays reach a numpy concatenate/broadcast.
+        ``columns`` limits the check to those columns (a projected
+        :meth:`merge` reads no others).
         """
         n = self.timestamp_us.size
-        for name, dtype in self._COLUMN_DTYPES.items():
+        for name in columns:
+            dtype = COLUMN_DTYPES[name]
             column = getattr(self, name)
             if not isinstance(column, np.ndarray) or column.ndim != 1:
                 raise TraceFormatError(f"column {name!r} must be a 1-D array")
@@ -275,43 +356,28 @@ class ColumnTrace:
                 raise TraceFormatError(
                     f"column {name!r} has dtype {column.dtype}, expected {dtype}"
                 )
-            if column.size != n:
+            rows = n + 1 if name == "payload_offsets" else n
+            if name != "payload" and column.size != rows:
                 raise TraceFormatError(
-                    f"column {name!r} has {column.size} rows, expected {n}"
+                    f"column {name!r} has {column.size} rows, expected {rows}"
                 )
-        for name in ("payload", "payload_offsets"):
-            buf = getattr(self, name)
-            if not isinstance(buf, np.ndarray) or buf.ndim != 1:
-                raise TraceFormatError(f"column {name!r} must be a 1-D array")
-        if self.payload.dtype != np.dtype(np.uint8):
-            raise TraceFormatError(
-                f"payload has dtype {self.payload.dtype}, expected uint8"
-            )
-        if self.payload_offsets.dtype != np.dtype(np.int64):
-            raise TraceFormatError(
-                f"payload_offsets has dtype {self.payload_offsets.dtype}, "
-                f"expected int64"
-            )
-        if self.payload_offsets.size != n + 1:
-            raise TraceFormatError(
-                f"payload_offsets has {self.payload_offsets.size} entries, "
-                f"expected {n + 1}"
-            )
-        if n:
-            if np.any(np.diff(self.payload_offsets) < 0):
+        if not n:
+            return
+        if "payload_offsets" in columns:
+            offsets = self.payload_offsets
+            if np.any(np.diff(offsets) < 0):
                 raise TraceFormatError("payload_offsets must be non-decreasing")
-            if int(self.payload_offsets[0]) < 0 or int(self.payload_offsets[-1]) > self.payload.size:
+            if int(offsets[0]) < 0 or int(offsets[-1]) > self.payload.size:
                 raise TraceFormatError("payload_offsets exceed the payload buffer")
-            if not self.source_table:
-                raise TraceFormatError("source_table must not be empty")
-            codes = self.source_code
-            if int(codes.min()) < 0 or int(codes.max()) >= len(self.source_table):
-                raise TraceFormatError("source_code out of source_table range")
-            if not self.bus_table:
-                raise TraceFormatError("bus_table must not be empty")
-            codes = self.bus_code
-            if int(codes.min()) < 0 or int(codes.max()) >= len(self.bus_table):
-                raise TraceFormatError("bus_code out of bus_table range")
+        for name, table_name in _CODE_TABLES.items():
+            if name not in columns:
+                continue
+            table = getattr(self, table_name)
+            if not table:
+                raise TraceFormatError(f"{table_name} must not be empty")
+            codes = getattr(self, name)
+            if int(codes.min()) < 0 or int(codes.max()) >= len(table):
+                raise TraceFormatError(f"{name} out of {table_name} range")
 
     # ------------------------------------------------------------------
     # Conversion
@@ -437,16 +503,7 @@ class ColumnTrace:
 
     #: Large per-row columns worth memory-mapping (the intern tables and
     #: version scalar are a few bytes and always loaded eagerly).
-    _NPZ_COLUMNS_V2 = (
-        "timestamp_us",
-        "can_id",
-        "payload",
-        "payload_offsets",
-        "extended",
-        "is_attack",
-        "source_code",
-        "bus_code",
-    )
+    _NPZ_COLUMNS_V2 = COLUMNS
     _NPZ_COLUMNS_V1 = (
         "timestamp_us",
         "can_id",
@@ -829,13 +886,20 @@ class ColumnTrace:
         return np.concatenate(recoded), tuple(table)
 
     @staticmethod
-    def merge(*traces: "ColumnTrace") -> "ColumnTrace":
+    def merge(
+        *traces: "ColumnTrace", columns: Optional[Collection[str]] = None
+    ) -> "ColumnTrace":
         """Merge time-ordered columnar traces into one (stable sort).
 
         Source and bus tags survive: each part's intern tables are
         re-interned into shared ones, so merging per-bus captures tagged
         via :meth:`with_bus` yields one fused trace whose records still
-        know which bus carried them.
+        know which bus carried them.  Parts that are already in time
+        order (a block reader's carry joins, consecutive blocks) are
+        concatenated as they are: the stable sort would be the identity.
+        ``columns`` (see :func:`column_projection`) merges only those
+        columns and leaves the rest at the absent defaults — how a
+        projected chunk source joins parts that never decoded the rest.
 
         Raises
         ------
@@ -845,46 +909,54 @@ class ColumnTrace:
             checked up front, so malformed inputs fail with a clear
             message instead of a numpy broadcast error mid-merge.
         """
+        names = column_projection(columns)
         for trace in traces:
             if not isinstance(trace, ColumnTrace):
                 raise TraceFormatError(
                     f"merge expects ColumnTrace parts, got {type(trace).__name__}"
                 )
-            trace._check_layout()
+            trace._check_layout(names)
         parts = [t for t in traces if len(t)]
         if not parts:
             return ColumnTrace(np.empty(0, np.int64), np.empty(0, np.int64))
-        source_code, source_table = ColumnTrace._reintern(
-            parts, "source_code", "source_table"
-        )
-        bus_code, bus_table = ColumnTrace._reintern(parts, "bus_code", "bus_table")
-        timestamp_us = np.concatenate([p.timestamp_us for p in parts])
-        order = np.argsort(timestamp_us, kind="stable")
-        lengths = np.concatenate([p.dlc for p in parts])
-        payload_parts = [p.payload_bytes() for p in parts]
-        payload_all = (
-            np.concatenate(payload_parts) if payload_parts else np.empty(0, np.uint8)
-        )
-        # Row start offsets into the concatenated payload buffer.
-        offsets_all = np.zeros(lengths.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets_all[1:])
-        starts = offsets_all[:-1][order]
-        lengths_sorted = lengths[order]
-        new_offsets = np.zeros(lengths.size + 1, dtype=np.int64)
-        np.cumsum(lengths_sorted, out=new_offsets[1:])
-        payload = _gather_payload(payload_all, starts, lengths_sorted)
+        rows = {
+            name: np.concatenate([getattr(p, name) for p in parts])
+            for name in names
+            if name not in ("payload", "payload_offsets") and name not in _CODE_TABLES
+        }
+        tables = {}
+        for name, table_name in _CODE_TABLES.items():
+            if name in names:
+                rows[name], tables[table_name] = ColumnTrace._reintern(
+                    parts, name, table_name
+                )
+        payload = lengths = None
+        if "payload" in names:
+            lengths = np.concatenate([p.dlc for p in parts])
+            payload = np.concatenate([p.payload_bytes() for p in parts])
+        timestamp_us = rows["timestamp_us"]
+        if np.any(timestamp_us[1:] < timestamp_us[:-1]):
+            order = np.argsort(timestamp_us, kind="stable")
+            rows = {name: column[order] for name, column in rows.items()}
+            if payload is not None:
+                # Row start offsets into the concatenated payload buffer.
+                offsets_all = np.zeros(lengths.size + 1, dtype=np.int64)
+                np.cumsum(lengths, out=offsets_all[1:])
+                starts = offsets_all[:-1][order]
+                lengths = lengths[order]
+                payload = _gather_payload(payload, starts, lengths)
+        offsets = None
+        if payload is not None:
+            offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+            np.cumsum(lengths, out=offsets[1:])
         return ColumnTrace(
-            timestamp_us[order],
-            np.concatenate([p.can_id for p in parts])[order],
+            rows.pop("timestamp_us"),
+            rows.pop("can_id", None),
             payload=payload,
-            payload_offsets=new_offsets,
-            extended=np.concatenate([p.extended for p in parts])[order],
-            is_attack=np.concatenate([p.is_attack for p in parts])[order],
-            source_code=source_code[order],
-            source_table=source_table,
-            bus_code=bus_code[order],
-            bus_table=bus_table,
+            payload_offsets=offsets,
             validate=False,
+            **tables,
+            **rows,
         )
 
     # ------------------------------------------------------------------
@@ -934,6 +1006,7 @@ class ColumnTrace:
         chunk_windows: int,
         *,
         origin_us: Optional[int] = None,
+        columns: Optional[Collection[str]] = None,
     ) -> Iterator["ColumnTrace"]:
         """Yield zero-copy chunks aligned to the detection-window grid.
 
@@ -945,7 +1018,9 @@ class ColumnTrace:
         Empty chunks are skipped (silent gaps of any length cost
         nothing); every yielded chunk is non-empty.  On a memory-mapped
         trace the slices stay lazy: only the pages a chunk's consumer
-        touches are ever read.
+        touches are ever read.  ``columns`` (the :class:`ChunkSource`
+        projection) is checked but changes nothing here: the slices
+        carry every column at no cost.
         """
         if window_us <= 0:
             raise ValueError(f"window must be positive, got {window_us}")
@@ -953,6 +1028,7 @@ class ColumnTrace:
             raise ValueError(
                 f"chunk_windows must be positive, got {chunk_windows}"
             )
+        column_projection(columns)
         n = len(self)
         if n == 0:
             return

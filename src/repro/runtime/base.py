@@ -46,10 +46,15 @@ from repro.baselines.base import BaselineIDS, BaselineVerdict
 from repro.core.alerts import AlertSink
 from repro.core.config import IDSConfig
 from repro.core.detector import WindowResult
-from repro.core.engine import BatchEntropyEngine
+from repro.core.engine import DEFAULT_CHUNK_WINDOWS, BatchEntropyEngine
 from repro.core.template import GoldenTemplate
 from repro.exceptions import DetectorError
-from repro.io.archive import load_capture_columns, open_capture_stream
+from repro.io.archive import (
+    capture_suffix,
+    load_capture_columns,
+    open_capture_stream,
+)
+from repro.io.blocks import BLOCKS_SUFFIX
 
 __all__ = [
     "BaselineScanSpec",
@@ -115,6 +120,10 @@ class EntropyScanSpec(ScanSpec):
     captures are loaded lazily (memory-mapped for ``.npz``) and scanned
     through :meth:`BatchEntropyEngine.scan_stream` in chunks of that
     many detection windows — bit-identical results, bounded memory.
+    ``.npb`` captures take that path on both routes (in chunks of
+    :data:`~repro.core.engine.DEFAULT_CHUNK_WINDOWS` without
+    ``chunk_windows``), so their blocks inflate only the columns the
+    kernel reads.
     """
 
     template: GoldenTemplate
@@ -125,11 +134,12 @@ class EntropyScanSpec(ScanSpec):
 
     def make_scanner(self) -> Callable[[str], List[WindowResult]]:
         engine = BatchEntropyEngine(self.template, self.config, AlertSink())
-        if self.chunk_windows is None:
-            return lambda path: engine.scan(load_capture_columns(path))
-        chunk_windows = int(self.chunk_windows)
+        in_ram = self.chunk_windows is None
+        chunk_windows = DEFAULT_CHUNK_WINDOWS if in_ram else int(self.chunk_windows)
 
-        def scan_stream(path: str) -> List[WindowResult]:
+        def scan(path: str) -> List[WindowResult]:
+            if in_ram and capture_suffix(path) != BLOCKS_SUFFIX:
+                return engine.scan(load_capture_columns(path))
             # Streaming sources (mapped npz, block-compressed npb) keep
             # the worker's memory bounded; the reader handle — if the
             # source has one — is released when the scan ends.
@@ -141,7 +151,7 @@ class EntropyScanSpec(ScanSpec):
                 if close is not None:
                     close()
 
-        return scan_stream
+        return scan
 
     def to_payload(self) -> dict:
         payload = {

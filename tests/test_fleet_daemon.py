@@ -146,6 +146,28 @@ class TestCycleMaintenance:
         assert cycle.compacted == 1
         assert "1 ledger entries pruned" in cycle.status_line()
 
+    def test_unbounded_run_keeps_only_the_latest_cycle(
+        self, drifting_store, pipeline
+    ):
+        """Each cycle holds every vehicle's full report: a daemon with no
+        ``max_cycles`` must not accumulate them for its whole life."""
+        lines = []
+
+        def log(line):
+            lines.append(line)
+            if line.startswith("cycle 4:"):
+                daemon.request_stop("five cycles")
+
+        daemon = WatchDaemon(
+            drifting_store, pipeline, interval_s=0.01, retrain=False,
+            workers=1, log=log, **DRIFT,
+        )
+        kept = daemon.run()
+        assert len(kept) <= 1 and kept is daemon.cycles
+        assert [c.index for c in kept] == [4]
+        numbered = [line.split(":")[0] for line in lines if line.startswith("cycle ")]
+        assert numbered == [f"cycle {i}" for i in range(5)]
+
     def test_idle_cycles_back_off(self, drifting_store, pipeline):
         lines = []
         daemon = WatchDaemon(

@@ -274,20 +274,97 @@ class TestCodecPipeline:
         assert ts["raw_bytes"] == len(capture) * 8
 
 
+def _flip_bit(path, column, block=0):
+    """Flip one bit in the middle of a column's compressed stream."""
+    with BlockReader(path, cache=False) as reader:
+        entry = reader.blocks[block]["columns"][column]
+        offset = int(entry["off"]) + int(entry["csize"]) // 2
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0x40
+    path.write_bytes(bytes(data))
+
+
+def _stream_scan(path, template, config):
+    """The projected detection scan (no cache: every block decoded)."""
+    engine = BatchEntropyEngine(template, config)
+    with BlockReader(path, cache=False) as reader:
+        return [w.to_dict() for w in engine.scan_stream(reader, 16)]
+
+
 class TestCorruption:
     """Damage is always a diagnosed TraceFormatError, never garbage."""
 
     def test_bit_flip_in_block_body(self, npb):
-        with BlockReader(npb, cache=False) as reader:
-            entry = reader.blocks[0]["columns"]["timestamp_us"]
-            offset = int(entry["off"]) + int(entry["csize"]) // 2
-        data = bytearray(npb.read_bytes())
-        data[offset] ^= 0x40
-        npb.write_bytes(bytes(data))
+        _flip_bit(npb, "timestamp_us")
         with BlockReader(npb, cache=False) as reader:
             with pytest.raises(
                 TraceFormatError, match="corrupt|checksum|malformed"
             ):
+                reader.read_block(0)
+
+    @pytest.mark.parametrize("column", ["timestamp_us", "can_id", "is_attack"])
+    def test_bit_flip_in_kernel_column_fails_the_scan(
+        self, npb, column, golden_template, ids_config
+    ):
+        """The scan decodes only the kernel's columns, and still checks
+        every one of them."""
+        _flip_bit(npb, column)
+        with pytest.raises(TraceFormatError, match="corrupt|checksum|malformed"):
+            _stream_scan(npb, golden_template, ids_config)
+
+    def test_bit_flip_in_payload_spares_the_scan_only(
+        self, npb, golden_template, ids_config, tmp_path
+    ):
+        """A scan never inflates payload, so its report is the clean
+        file's; every full read still diagnoses the damage."""
+        from repro.cli import main
+
+        clean = _stream_scan(npb, golden_template, ids_config)
+        _flip_bit(npb, "payload")
+        assert _stream_scan(npb, golden_template, ids_config) == clean
+        with BlockReader(npb, cache=False) as reader:
+            with pytest.raises(TraceFormatError, match="checksum|corrupt"):
+                reader.read_block(0)
+            with pytest.raises(TraceFormatError, match="checksum|corrupt"):
+                reader.to_columns()
+        out = tmp_path / "copy.npb"
+        assert main(["convert", "--trace", str(npb), "--out", str(out)]) == 1
+
+    def test_swapped_block_entries_fail_the_scan(
+        self, npb, golden_template, ids_config
+    ):
+        """Each entry still matches its own data, but time runs backwards
+        at the block edge: the carry join refuses it."""
+        _rewrite_index(
+            npb,
+            lambda ix: ix["blocks"].__setitem__(
+                slice(0, 2), ix["blocks"][1::-1]
+            ),
+        )
+        with pytest.raises(TraceFormatError, match="before the previous"):
+            _stream_scan(npb, golden_template, ids_config)
+
+    def test_frame_count_disagreeing_with_blocks(self, npb):
+        """n_frames steers len() and the scans: it must match the blocks."""
+        _rewrite_index(npb, lambda ix: ix.update(n_frames=0))
+        with pytest.raises(TraceFormatError, match="0 frames"):
+            BlockReader(npb)
+
+    def test_block_time_bounds_disagreeing_with_index(
+        self, npb, golden_template, ids_config
+    ):
+        """start_us anchors the window grid: a block whose data starts
+        elsewhere fails instead of shifting every window."""
+        _rewrite_index(
+            npb,
+            lambda ix: ix["blocks"][0].update(
+                start_us=ix["blocks"][0]["start_us"] - 1_000_000
+            ),
+        )
+        with pytest.raises(TraceFormatError, match="index says"):
+            _stream_scan(npb, golden_template, ids_config)
+        with BlockReader(npb, cache=False) as reader:
+            with pytest.raises(TraceFormatError, match="index says"):
                 reader.read_block(0)
 
     def test_truncated_block_stream(self, npb):
