@@ -17,9 +17,13 @@ nothing but a route to one TCP port.  Three pieces:
 
 * :class:`NetExecutor` — the coordinator-side backend (``--executor
   net --connect host:port``).  Submits the job, collects streamed
-  results, and (by default) drains tasks through a second, worker-role
-  connection while waiting — so workers accelerate a scan but are
-  never required for one, exactly like the queue backend.
+  results, and (by default) drains its own job's tasks through a
+  second, worker-role connection — so workers accelerate a scan but
+  are never required for one, exactly like the queue backend.  The
+  drain loop never blocks while the coordinator still hands it a task:
+  it polls the submit socket without waiting, and waits up to
+  ``poll_s`` for a pushed result only after an ``idle``/``drain``
+  reply.
 
 * :func:`run_net_worker` — the network claimant behind ``repro-ids
   worker --connect``.  Pull a task, execute it through the shared
@@ -27,16 +31,22 @@ nothing but a route to one TCP port.  Three pieces:
   included), upload, repeat; a background heartbeat renews the lease
   during long scans.
 
-Wire format: one JSON object per line, ASCII.  Every conversation
-opens with ``{"version": 1, "type": "hello", "role":
+Wire format: one JSON object per line, ASCII, at most
+:data:`~repro.runtime.protocol.MAX_MESSAGE_BYTES` long — a longer line
+is refused with a named ``error`` by either end, and a result that
+would exceed it is published as an error result instead.  Every
+conversation opens with ``{"version": 2, "type": "hello", "role":
 "worker"|"submit"|"status", "name": ...}`` answered by ``{"type":
-"welcome", "lease_s": ...}``.  Workers send ``next`` (→ ``task`` /
-``idle`` / ``drain``), ``result`` (→ ``ack``) and fire-and-forget
-``renew`` heartbeats (optionally carrying the worker's running
-:class:`~repro.runtime.worker.WorkerStats` so the coordinator sees
-per-task timing and engine-cache hit rates); submitters send
-``submit`` (→ ``submitted``) and then receive pushed ``result``
-messages.  Every role may send ``stats`` (→ the transport-neutral
+"welcome", "lease_s": ...}``; another version gets an ``error`` that
+names it.  Workers send ``next`` (→ ``task`` / ``idle`` / ``drain``;
+an optional ``job`` restricts the claim to that job), ``result`` (→
+``ack``) and fire-and-forget ``renew`` heartbeats (optionally carrying
+the worker's running :class:`~repro.runtime.worker.WorkerStats` so the
+coordinator sees per-task timing and engine-cache hit rates);
+submitters send ``submit`` (→ ``submitted``) and then receive pushed
+``result`` messages — except results uploaded with ``"echo": false``,
+which the submitter's own drain connection sent and already holds.
+Every role may send ``stats`` (→ the transport-neutral
 :func:`~repro.runtime.protocol.fabric_stats` document — the admin verb
 behind ``repro-ids status --connect``); the ``status`` role may send
 nothing else.  Task and result payloads are the protocol module's
@@ -54,6 +64,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import selectors
 import signal
 import socket
 import threading
@@ -68,6 +79,7 @@ from repro.exceptions import DetectorError
 from repro.runtime.base import Executor, ScanSpec
 from repro.runtime.protocol import (
     DEFAULT_LEASE_S,
+    MAX_MESSAGE_BYTES,
     PROTOCOL_VERSION,
     ClaimToken,
     ResultCollector,
@@ -90,6 +102,18 @@ __all__ = [
     "parse_address",
     "run_net_worker",
 ]
+
+
+def _frame(message: dict) -> bytes:
+    """One NDJSON line: the wire form of every message."""
+    return (json.dumps(message) + "\n").encode("ascii")
+
+
+def _over_ceiling(what: str, size: int) -> str:
+    return (
+        f"{what} of {size} B exceeds the {MAX_MESSAGE_BYTES} B fabric "
+        f"message ceiling"
+    )
 
 
 def parse_address(connect: str) -> Tuple[str, int]:
@@ -187,7 +211,7 @@ class ScanServer:
     async def start(self) -> None:
         self._stopped = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+            self._handle, self.host, self.port, limit=MAX_MESSAGE_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._reaper = asyncio.create_task(self._reap_expired())
@@ -331,7 +355,7 @@ class ScanServer:
             self._stopped.set()
 
     async def _send(self, writer: asyncio.StreamWriter, message: dict) -> None:
-        data = (json.dumps(message) + "\n").encode("ascii")
+        data = _frame(message)
         self.bytes_out += len(data)
         lock = self._locks.setdefault(writer, asyncio.Lock())
         async with lock:
@@ -363,15 +387,23 @@ class ScanServer:
             self._handlers.add(task)
             task.add_done_callback(self._handlers.discard)
         try:
-            hello = await self._read(reader)
-            if (
-                hello is None
-                or hello.get("type") != "hello"
-                or hello.get("version") != PROTOCOL_VERSION
-            ):
+            hello = await self._read(reader, writer)
+            if hello is None or hello.get("type") != "hello":
+                await self._send(
+                    writer, {"type": "error", "error": "bad hello"}
+                )
+                return
+            if hello.get("version") != PROTOCOL_VERSION:
                 await self._send(
                     writer,
-                    {"type": "error", "error": "bad hello or version"},
+                    {
+                        "type": "error",
+                        "error": (
+                            f"fabric protocol version {hello.get('version')!r}"
+                            f" is not supported (coordinator speaks "
+                            f"{PROTOCOL_VERSION})"
+                        ),
+                    },
                 )
                 return
             await self._send(
@@ -409,20 +441,52 @@ class ScanServer:
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
-    async def _read(self, reader: asyncio.StreamReader) -> Optional[dict]:
-        line = await reader.readline()
-        if not line:
-            return None
-        self.bytes_in += len(line)
-        try:
-            message = json.loads(line)
-        except ValueError:
-            return {"type": "malformed"}
-        return message if isinstance(message, dict) else {"type": "malformed"}
+    async def _read(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> Optional[dict]:
+        """The peer's next message; None once it has closed.
+
+        A line longer than :data:`MAX_MESSAGE_BYTES` (the reader's
+        limit) is skipped, logged and answered with a named ``error``;
+        the connection stays usable.
+        """
+        while True:
+            try:
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:
+                line = exc.partial  # a torn last line, or b"" on close
+                if not line:
+                    return None
+            except asyncio.LimitOverrunError:
+                size = 0
+                while True:  # discard the line, newline included
+                    try:
+                        size += len(await reader.readuntil(b"\n"))
+                        break
+                    except asyncio.LimitOverrunError as exc:
+                        size += len(await reader.readexactly(exc.consumed))
+                self.bytes_in += size
+                error = _over_ceiling("message", size)
+                self._log(f"serve: refused: {error}")
+                await self._send(writer, {"type": "error", "error": error})
+                continue
+            self.bytes_in += len(line)
+            try:
+                message = json.loads(line)
+            except ValueError:
+                return {"type": "malformed"}
+            if not isinstance(message, dict):
+                return {"type": "malformed"}
+            return message
 
     # -- worker role ----------------------------------------------------
-    def _claim_for(self, conn: _WorkerConn) -> Optional[TaskMessage]:
+    def _claim_for(
+        self, conn: _WorkerConn, job_id: Optional[str] = None
+    ) -> Optional[TaskMessage]:
+        """Claim the next pending task, of job ``job_id`` only if given."""
         for job in self._jobs.values():
+            if job_id is not None and job.job != job_id:
+                continue
             while job.pending:
                 index = job.pending.popleft()
                 if index in job.done:
@@ -452,7 +516,10 @@ class ScanServer:
                     f"{job_id}-{index:06d}"
                 )
 
-    async def _complete(self, outcome: TaskResult) -> bool:
+    async def _complete(self, outcome: TaskResult, echo: bool = True) -> bool:
+        """Mark a task done and push its outcome to the submitter —
+        unless ``echo`` is False: the submitter's own drain connection
+        uploaded it, and the submitter already holds it."""
         job = self._jobs.get(outcome.job)
         if job is None or outcome.index in job.done:
             return False  # stale or duplicate upload: harmless
@@ -461,13 +528,14 @@ class ScanServer:
         self.tasks_completed += 1
         for conn in self._workers.values():
             conn.claims.discard((outcome.job, outcome.index))
-        try:
-            await self._send(
-                job.submitter,
-                {"type": "result", "outcome": outcome.to_wire()},
-            )
-        except (ConnectionError, OSError):
-            pass  # submitter gone; its cleanup drops the job
+        if echo:
+            try:
+                await self._send(
+                    job.submitter,
+                    {"type": "result", "outcome": outcome.to_wire()},
+                )
+            except (ConnectionError, OSError):
+                pass  # submitter gone; its cleanup drops the job
         if job.complete:
             del self._jobs[outcome.job]
             self.jobs_completed += 1
@@ -486,12 +554,12 @@ class ScanServer:
         self.peak_workers = max(self.peak_workers, len(self._workers))
         self._log(f"serve: worker {name} registered")
         while True:
-            message = await self._read(reader)
+            message = await self._read(reader, writer)
             if message is None:
                 return
             kind = message.get("type")
             if kind == "next":
-                task = self._claim_for(conn)
+                task = self._claim_for(conn, message.get("job"))
                 if task is not None:
                     await self._send(
                         writer, {"type": "task", "task": task.to_wire()}
@@ -509,7 +577,8 @@ class ScanServer:
                     )
                     continue
                 conn.claims.discard((outcome.job, outcome.index))
-                if await self._complete(outcome):
+                echo = message.get("echo") is not False
+                if await self._complete(outcome, echo):
                     conn.completed += 1
                 await self._send(writer, {"type": "ack"})
             elif kind == "renew":
@@ -546,7 +615,7 @@ class ScanServer:
     ) -> None:
         """Read-only admin connections: ``stats`` and ``ping`` only."""
         while True:
-            message = await self._read(reader)
+            message = await self._read(reader, writer)
             if message is None:
                 return
             kind = message.get("type")
@@ -580,7 +649,7 @@ class ScanServer:
         name: str,
     ) -> None:
         while True:
-            message = await self._read(reader)
+            message = await self._read(reader, writer)
             if message is None:
                 return
             if message.get("type") == "stats":
@@ -762,7 +831,8 @@ class _Connection:
     Partial lines survive timeouts (the buffer persists across
     :meth:`recv` calls), so a slow coordinator can never tear a
     message.  Writes are locked: the worker's heartbeat thread shares
-    the socket with the claim loop.
+    the socket with the claim loop.  Neither end sends or accepts a
+    line longer than :data:`MAX_MESSAGE_BYTES`.
     """
 
     def __init__(
@@ -782,7 +852,13 @@ class _Connection:
                 f"cannot reach scan coordinator at {host}:{port}: {exc} "
                 f"(is repro-ids serve running?)"
             ) from exc
+        # Receive deadlines come from the selector; the socket timeout
+        # only bounds a send to a coordinator that stopped reading.
+        self._sock.settimeout(30.0)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._sock, selectors.EVENT_READ)
         self._buffer = bytearray()
+        self._scanned = 0  # buffer prefix known to hold no newline
         self._lock = threading.Lock()
         self.send(
             {
@@ -801,45 +877,89 @@ class _Connection:
             )
         self.lease_s = float(welcome.get("lease_s", DEFAULT_LEASE_S))
 
-    def send(self, message: dict) -> None:
-        data = (json.dumps(message) + "\n").encode("ascii")
+    def _write(self, data: bytes) -> None:
+        if len(data) > MAX_MESSAGE_BYTES:
+            raise DetectorError(_over_ceiling("outgoing message", len(data)))
         with self._lock:
             self._sock.sendall(data)
 
+    def send(self, message: dict) -> None:
+        self._write(_frame(message))
+
+    def publish(
+        self, outcome: TaskResult, echo: bool = True
+    ) -> Optional[dict]:
+        """Upload one task outcome and return the coordinator's reply.
+
+        ``echo=False`` marks the upload as the submitter's own (its
+        drain connection), so the coordinator does not push it back.
+        A result too large for :data:`MAX_MESSAGE_BYTES` is published
+        as an error result naming the ceiling: the submitter retries
+        locally or raises, and the task is never reposted in a loop.
+        """
+        message = {"type": "result", "outcome": outcome.to_wire()}
+        if not echo:
+            message["echo"] = False
+        data = _frame(message)
+        if len(data) > MAX_MESSAGE_BYTES:
+            message["outcome"] = TaskResult(
+                outcome.job,
+                outcome.index,
+                error=_over_ceiling("result", len(data)),
+            ).to_wire()
+            data = _frame(message)
+        self._write(data)
+        return self.recv(timeout=30.0)
+
     def recv(self, timeout: Optional[float] = None) -> Optional[dict]:
-        """Next message, or None on timeout.  Raises on a closed peer."""
+        """Next message, or None when none completes within ``timeout``.
+
+        ``timeout=0`` polls: it reads what has already arrived without
+        blocking.  Raises on a closed peer and on a line longer than
+        :data:`MAX_MESSAGE_BYTES`.
+        """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            newline = self._buffer.find(b"\n")
-            if newline >= 0:
-                line = bytes(self._buffer[:newline])
-                del self._buffer[: newline + 1]
-                try:
-                    message = json.loads(line)
-                except ValueError:
-                    continue  # torn foreign junk; keep the stream alive
-                if isinstance(message, dict):
-                    return message
-                continue
+            message = self._pop_message()
+            if message is not None:
+                return message
+            wait = None
             if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return None
-                self._sock.settimeout(remaining)
-            else:
-                self._sock.settimeout(None)
-            try:
-                chunk = self._sock.recv(65536)
-            except socket.timeout:
+                wait = max(deadline - time.monotonic(), 0.0)
+            if not self._selector.select(wait):
                 return None
+            chunk = self._sock.recv(65536)
             if not chunk:
                 raise DetectorError(
                     "scan coordinator closed the connection"
                 )
             self._buffer.extend(chunk)
 
+    def _pop_message(self) -> Optional[dict]:
+        """The next complete message in the buffer, if any."""
+        while True:
+            newline = self._buffer.find(b"\n", self._scanned)
+            size = len(self._buffer) if newline < 0 else newline
+            if size > MAX_MESSAGE_BYTES:
+                raise DetectorError(
+                    _over_ceiling("message from the scan coordinator", size)
+                )
+            if newline < 0:
+                self._scanned = size
+                return None
+            line = bytes(self._buffer[:newline])
+            del self._buffer[: newline + 1]
+            self._scanned = 0
+            try:
+                message = json.loads(line)
+            except ValueError:
+                continue  # torn foreign junk; keep the stream alive
+            if isinstance(message, dict):
+                return message
+
     def close(self) -> None:
         try:
+            self._selector.close()
             self._sock.close()
         except OSError:
             pass
@@ -889,16 +1009,19 @@ class NetExecutor(Executor):
         serve``).
     drain:
         When True (default) the executor opens a second, worker-role
-        connection and executes its own pending tasks while waiting —
-        zero workers degrade to a serial scan, and a worker's error
-        result is retried locally.  With False every task must be
+        connection and executes its own job's pending tasks while
+        waiting — zero workers degrade to a serial scan, and a worker's
+        error result is retried locally.  With False every task must be
         served by a network worker and an error result raises.
     timeout_s:
         Give up (``DetectorError``) when no result has arrived for this
         long.  ``None`` waits forever — safe with ``drain``.
     poll_s:
-        How long each collection sweep waits for a pushed result before
-        attempting to drain a task itself.
+        How long to block for a pushed result when there is nothing to
+        drain: after the coordinator answers ``idle`` or ``drain`` (every
+        task of the job is claimed), and on every sweep without
+        ``drain``.  A draining executor never waits while the
+        coordinator still hands it tasks.
     """
 
     def __init__(
@@ -943,10 +1066,16 @@ class NetExecutor(Executor):
                 raise DetectorError(
                     f"scan coordinator refused the job: {reply!r}"
                 )
+            if self.drain:
+                drain_conn = _Connection(
+                    self.host, self.port, "worker", name="coordinator-drain"
+                )
+            idle = drain_conn is None
             last_progress = time.monotonic()
             while not collector.done:
                 progressed = False
-                message = submit.recv(timeout=self.poll_s)
+                # Workers' results first; block only with nothing to drain.
+                message = submit.recv(timeout=self.poll_s if idle else 0.0)
                 if message is not None:
                     if message.get("type") == "result":
                         try:
@@ -961,26 +1090,17 @@ class NetExecutor(Executor):
                         raise DetectorError(
                             f"scan coordinator error: {message.get('error')}"
                         )
-                elif self.drain:
-                    if drain_conn is None:
-                        drain_conn = _Connection(
-                            self.host, self.port, "worker",
-                            name="coordinator-drain",
-                        )
-                    drain_conn.send({"type": "next"})
+                elif drain_conn is not None:
+                    # Claims are scoped to this job, so every drained
+                    # outcome is ours to keep: it need not come back.
+                    drain_conn.send({"type": "next", "job": job})
                     reply = drain_conn.recv(timeout=30.0)
-                    if reply is not None and reply.get("type") == "task":
+                    idle = reply is None or reply.get("type") != "task"
+                    if not idle:
                         task = TaskMessage.from_wire(reply["task"])
                         outcome = execute_task(task, scanners)
-                        drain_conn.send(
-                            {"type": "result", "outcome": outcome.to_wire()}
-                        )
-                        drain_conn.recv(timeout=30.0)  # ack
-                        # The server also pushes this result back on the
-                        # submit connection; offering directly just
-                        # makes that push a harmless duplicate.
-                        if collector.offer(outcome):
-                            progressed = True
+                        drain_conn.publish(outcome, echo=False)
+                        progressed = collector.offer(outcome)
                 if progressed:
                     last_progress = time.monotonic()
                     continue
@@ -1112,17 +1232,13 @@ def run_net_worker(
                 raw = reply.get("task")
                 if isinstance(raw, dict) and "job" in raw and "index" in raw:
                     try:
-                        conn.send(
-                            {
-                                "type": "result",
-                                "outcome": TaskResult(
-                                    str(raw["job"]),
-                                    int(raw["index"]),
-                                    error=f"TaskFormatError: {exc}",
-                                ).to_wire(),
-                            }
+                        conn.publish(
+                            TaskResult(
+                                str(raw["job"]),
+                                int(raw["index"]),
+                                error=f"TaskFormatError: {exc}",
+                            )
                         )
-                        conn.recv(timeout=30.0)  # ack
                     except (DetectorError, OSError, TypeError, ValueError):
                         pass
                 if log is not None:
@@ -1131,8 +1247,7 @@ def run_net_worker(
                 continue
             outcome = execute_task(task, scanners, stats=stats)
             try:
-                conn.send({"type": "result", "outcome": outcome.to_wire()})
-                conn.recv(timeout=30.0)  # ack
+                conn.publish(outcome)
             except (DetectorError, OSError):
                 stats.stop_reason = "coordinator gone"
                 break

@@ -8,8 +8,8 @@ same rules, no matter what carries the bytes:
 * :class:`ClaimToken` — a lease on a claimed task: the claimant must
   finish (or renew) within ``lease_s`` or the task is re-posted for
   another claimant;
-* :class:`TaskResult` — the outcome: ledger-protocol window verdicts
-  (bit-exact float round trips) or an error string.
+* :class:`TaskResult` — the outcome: the spec's columnar window
+  verdicts (raw float bytes, so bit-exact) or an error string.
 
 The state machine per task::
 
@@ -51,10 +51,11 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.exceptions import DetectorError
-from repro.runtime.base import ScanSpec, spec_from_payload
+from repro.runtime.base import ScanSpec, TaskFormatError, spec_from_payload
 
 __all__ = [
     "DEFAULT_LEASE_S",
+    "MAX_MESSAGE_BYTES",
     "PROTOCOL_VERSION",
     "STATS_VERSION",
     "ClaimToken",
@@ -72,8 +73,16 @@ __all__ = [
 
 #: Wire-format version, stamped into every task and result message.
 #: Bump on incompatible changes; claimants quarantine (or reject)
-#: anything they cannot speak.
-PROTOCOL_VERSION = 1
+#: anything they cannot speak.  Version 2 carries columnar results
+#: (:data:`~repro.runtime.base.RESULT_VERSION` 2).
+PROTOCOL_VERSION = 2
+
+#: The largest fabric message, in bytes, either end accepts: one NDJSON
+#: line on the TCP transport.  Sized from the columnar result (~411 B
+#: per window at 11 bits, ~1,011 B at 29): a 24 h capture in the
+#: default 2 s windows is 43,200 windows, ~18 MB (~44 MB at 29 bits).
+#: A result that would not fit is published as an error result instead.
+MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 #: Default claim lease: a claimant that neither publishes nor renews
 #: within this window is presumed dead and its task is re-posted.
@@ -194,16 +203,6 @@ def render_stats(stats: dict) -> str:
                 f"age {_age(row.get('lease_age_s'))}"
             )
     return "\n".join(lines)
-
-
-class TaskFormatError(DetectorError):
-    """A task or result message could not be decoded.
-
-    Transports translate this into their quarantine rule: the
-    filesystem queue moves the file into ``failed/``, the network
-    fabric relays an error result.  Never fatal to a claimant — a
-    poison message must not crash a fleet's shared worker.
-    """
 
 
 def new_job_id() -> str:
@@ -396,8 +395,9 @@ def execute_task(
 class ResultCollector:
     """The coordinator half: out-of-order results in, input order out.
 
-    Encapsulates the error-result rule once for every transport: with
-    ``local_retry`` (drain mode) a worker's error result is retried
+    Encapsulates the error-result rule once for every transport (a
+    result payload that does not decode counts as an error result):
+    with ``local_retry`` (drain mode) a worker's error result is retried
     locally — a remote failure (missing mount on the worker's host,
     transient IO fault) degrades to local execution and only a local
     failure (the capture really is bad) propagates, with the true local
@@ -446,17 +446,22 @@ class ResultCollector:
         index = outcome.index
         if not 0 <= index < len(self.names) or index in self._collected:
             return False
-        if outcome.error is not None:
-            if not self.local_retry:
-                raise DetectorError(
-                    f"worker failed scanning {self.names[index]}: "
-                    f"{outcome.error}"
-                )
-            if self._local_scan is None:
-                self._local_scan = self.spec.make_scanner()
-            self._collected[index] = self._local_scan(self.names[index])
-        else:
-            self._collected[index] = self.spec.decode_result(outcome.result)
+        error = outcome.error
+        if error is None:
+            try:
+                windows = self.spec.decode_result(outcome.result)
+            except TaskFormatError as exc:
+                error = str(exc)  # never decode to wrong windows
+            else:
+                self._collected[index] = windows
+                return True
+        if not self.local_retry:
+            raise DetectorError(
+                f"worker failed scanning {self.names[index]}: {error}"
+            )
+        if self._local_scan is None:
+            self._local_scan = self.spec.make_scanner()
+        self._collected[index] = self._local_scan(self.names[index])
         return True
 
     def results(self) -> List[list]:

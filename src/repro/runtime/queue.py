@@ -18,8 +18,8 @@ claim lease           the claimed file's mtime, restamped at claim
                       semantics; ``stale_claim_s`` is the lease)
 publish a result      atomic write of ``results/<job>-<index>.json``
                       (:class:`~repro.runtime.protocol.TaskResult`
-                      wire format — the ledger protocol's bit-exact
-                      float round trips)
+                      wire format — the spec's columnar result,
+                      bit-exact)
 quarantine            ``os.replace`` into ``failed/``
 ====================  ==============================================
 

@@ -7,6 +7,10 @@ format versioning, the claim lease, the shared claimant
 error rule decides when a scan degrades locally versus fails.
 """
 
+import base64
+import json
+
+import numpy as np
 import pytest
 
 from repro.baselines import FrequencyIDS
@@ -23,7 +27,12 @@ from repro.runtime import (
     new_job_id,
     require_portable,
 )
-from repro.runtime.protocol import PROTOCOL_VERSION, ClaimToken
+from repro.runtime.base import RESULT_VERSION
+from repro.runtime.protocol import (
+    MAX_MESSAGE_BYTES,
+    PROTOCOL_VERSION,
+    ClaimToken,
+)
 from repro.vehicle.traffic import simulate_drive
 
 
@@ -184,3 +193,139 @@ class TestResultCollector:
         assert collector.pending_indices() == [0, 1]
         with pytest.raises(DetectorError, match="outstanding"):
             collector.results()
+
+
+def _window(index, judged=True, n_bits=11, fill=0.25):
+    from repro.core.detector import WindowResult
+
+    deviations = np.full(n_bits, fill)
+    deviations[0] = -0.0  # the sign of zero must survive the wire
+    deviations[1] = 5e-324  # and the smallest subnormal
+    return WindowResult(
+        index=index,
+        t_start_us=2_000_000 * index - 7,
+        t_end_us=2_000_000 * index - 7 + 2_000_000,
+        n_messages=1000 + index,
+        n_attack_messages=index,
+        probabilities=np.linspace(0.0, 1.0, n_bits),
+        entropy=np.linspace(1.0, 0.0, n_bits) / 3.0,
+        deviations=deviations,
+        violated=np.arange(n_bits) % 3 == index % 3,
+        judged=judged,
+    )
+
+
+class TestColumnarResultCodec:
+    """``EntropyScanSpec``'s result codec: one little-endian array per
+    ``WindowBlock`` field, bit-exact, and strict on decode."""
+
+    FIELDS = (
+        "index", "t_start_us", "t_end_us", "n_messages",
+        "n_attack_messages", "judged",
+    )
+    ARRAYS = ("probabilities", "entropy", "deviations", "violated")
+
+    def assert_bit_identical(self, got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            for name in self.FIELDS:
+                assert getattr(g, name) == getattr(w, name), name
+                assert type(getattr(g, name)) is type(getattr(w, name)), name
+            for name in self.ARRAYS:
+                a, b = getattr(g, name), getattr(w, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+
+    def test_every_field_round_trips_bit_exactly(self, spec):
+        windows = [_window(i, judged=i != 2) for i in range(5)]
+        payload = spec.encode_result(windows)
+        assert payload["version"] == RESULT_VERSION
+        got = spec.decode_result(json.loads(json.dumps(payload)))
+        self.assert_bit_identical(got, windows)
+        assert np.signbit(got[0].deviations[0])
+
+    def test_real_scan_round_trips_bit_exactly(self, spec, capture_path):
+        direct = spec.make_scanner()(str(capture_path))
+        assert direct
+        got = spec.decode_result(spec.encode_result(direct))
+        self.assert_bit_identical(got, direct)
+
+    def test_zero_window_result_round_trips(self, spec):
+        payload = spec.encode_result([])
+        assert payload["windows"] == 0
+        assert spec.decode_result(payload) == []
+
+    def test_payload_is_smaller_than_per_window_dicts(self, spec, capture_path):
+        direct = spec.make_scanner()(str(capture_path))
+        columnar = len(json.dumps(spec.encode_result(direct)))
+        per_window = len(json.dumps([w.to_dict() for w in direct]))
+        assert per_window >= 2 * columnar
+
+    def test_a_day_of_windows_fits_the_message_ceiling(self, spec):
+        """24 h of the default 2 s windows, as one result line."""
+        day = [_window(i) for i in range(24 * 3600 // 2)]
+        outcome = TaskResult("j", 0, result=spec.encode_result(day))
+        line = json.dumps({"type": "result", "outcome": outcome.to_wire()})
+        assert len(line) < MAX_MESSAGE_BYTES / 2
+
+    def test_windows_of_another_length_are_not_encoded(self, spec):
+        import dataclasses
+
+        window = _window(0)
+        window = dataclasses.replace(window, t_end_us=window.t_end_us + 1)
+        with pytest.raises(DetectorError, match="long"):
+            spec.encode_result([window])
+
+    def test_rows_of_another_width_are_not_encoded(self, spec):
+        with pytest.raises(DetectorError, match="shape"):
+            spec.encode_result([_window(0, n_bits=29)])
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda p: p.update(probabilities="!!not base64!!"),
+             "probabilities is not base64"),
+            (lambda p: p.update(entropy=base64.b64encode(
+                base64.b64decode(p["entropy"])[:-8]).decode()), "entropy holds"),
+            (lambda p: p.update(index=base64.b64encode(
+                base64.b64decode(p["index"]) + bytes(8)).decode()), "index holds"),
+            (lambda p: p.pop("deviations"), "no deviations field"),
+            (lambda p: p.update(windows=p["windows"] + 1), "holds"),
+            (lambda p: p.update(windows=-1), "window count"),
+            (lambda p: p.update(windows="3"), "window count"),
+            (lambda p: p.update(version=RESULT_VERSION + 1), "result version"),
+            (lambda p: p.pop("version"), "result version None"),
+            (lambda p: p.update(violated=base64.b64encode(
+                b"\x02" + base64.b64decode(p["violated"])[1:]).decode()),
+             "other than 0 and 1"),
+        ],
+        ids=[
+            "bad-base64", "short-per-bit-array", "long-array",
+            "missing-field", "wrong-window-count", "negative-count",
+            "string-count", "unknown-version", "no-version", "non-bool-byte",
+        ],
+    )
+    def test_malformed_payload_refused(self, spec, tamper, message):
+        payload = spec.encode_result([_window(i) for i in range(3)])
+        tamper(payload)
+        with pytest.raises(TaskFormatError, match=message):
+            spec.decode_result(payload)
+
+    def test_per_window_payload_refused_by_name(self, spec):
+        old = [_window(i).to_dict() for i in range(3)]
+        with pytest.raises(TaskFormatError, match="columnar result version 2"):
+            spec.decode_result(old)
+
+    def test_undecodable_result_is_an_error_result(self, spec, capture_path):
+        """The collector never takes a payload it cannot decode: it is
+        retried locally, or raised without local retry."""
+        paths = [str(capture_path)]
+        job = new_job_id()
+        old = [w.to_dict() for w in spec.make_scanner()(paths[0])]
+        strict = ResultCollector(spec, paths, job, local_retry=False)
+        with pytest.raises(DetectorError, match="columnar result version"):
+            strict.offer(TaskResult(job, 0, result=old))
+        collector = ResultCollector(spec, paths, job)
+        assert collector.offer(TaskResult(job, 0, result=old))
+        direct = spec.make_scanner()(paths[0])
+        self.assert_bit_identical(collector.results()[0], direct)

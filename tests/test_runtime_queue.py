@@ -15,6 +15,7 @@ import pytest
 from repro.core import IDSPipeline
 from repro.exceptions import DetectorError
 from repro.runtime import (
+    PROTOCOL_VERSION,
     EntropyScanSpec,
     WorkQueueExecutor,
     claim_next_task,
@@ -345,3 +346,62 @@ class TestWorkerLoop:
         queue = tmp_path / "queue"
         stats = run_worker(queue, poll_s=0.01, max_idle_s=0.05)
         assert stats.executed == 0 and "idle" in stats.stop_reason
+
+
+class TestVersionSkew:
+    """Results from a peer on the old per-window result format are
+    refused by name, never decoded into windows."""
+
+    def post_with_result(self, queue, spec, capture_path, outcome, **kwargs):
+        executor = WorkQueueExecutor(
+            queue, timeout_s=60.0, poll_s=0.01, **kwargs
+        )
+        job = executor._post(spec, [str(capture_path)])
+        _, _, results, _ = queue_dirs(queue)
+        outcome = dict(outcome, job=job, index=0)
+        (results / f"{job}-000000.json").write_text(
+            json.dumps(outcome), encoding="ascii"
+        )
+        executor._post = lambda *a, **k: job
+        return executor
+
+    def per_window(self, spec, capture_path):
+        return [w.to_dict() for w in spec.make_scanner()(str(capture_path))]
+
+    def test_protocol_1_result_file_refused_by_name(
+        self, tmp_path, spec, capture_path
+    ):
+        old = {"version": 1, "result": self.per_window(spec, capture_path)}
+        executor = self.post_with_result(
+            tmp_path / "queue", spec, capture_path, old,
+            coordinator_drains=False,
+        )
+        with pytest.raises(DetectorError, match="fabric protocol version 1"):
+            executor.run(spec, [capture_path])
+
+    def test_per_window_payload_refused_by_name(
+        self, tmp_path, spec, capture_path
+    ):
+        old = {
+            "version": PROTOCOL_VERSION,
+            "result": self.per_window(spec, capture_path),
+        }
+        executor = self.post_with_result(
+            tmp_path / "queue", spec, capture_path, old,
+            coordinator_drains=False,
+        )
+        with pytest.raises(DetectorError, match="columnar result version 2"):
+            executor.run(spec, [capture_path])
+
+    def test_per_window_payload_rescanned_when_draining(
+        self, tmp_path, spec, capture_path
+    ):
+        old = {
+            "version": PROTOCOL_VERSION,
+            "result": self.per_window(spec, capture_path),
+        }
+        executor = self.post_with_result(
+            tmp_path / "queue", spec, capture_path, old
+        )
+        (got,) = executor.run(spec, [capture_path])
+        assert [w.to_dict() for w in got] == old["result"]
