@@ -17,6 +17,9 @@ at the repository root, so the artifacts survive pytest's output capture
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -76,6 +79,48 @@ def append_bench(name: str, records) -> Path:
 
     RESULTS_DIR.mkdir(exist_ok=True)
     return write_bench_json(RESULTS_DIR / f"BENCH_{name}.json", records)
+
+
+# Each burner sleeps until a shared start instant, runs a fixed number of
+# loop iterations and prints how long that took.
+_BURN = (
+    "import sys, time\n"
+    "time.sleep(max(0.0, float(sys.argv[1]) - time.time()))\n"
+    "t = time.perf_counter()\n"
+    "x = 0\n"
+    "for i in range(int(sys.argv[2])):\n"
+    "    x += i * i\n"
+    "print(time.perf_counter() - t)\n"
+)
+
+
+def _burn(n_procs: int, loops: int) -> float:
+    start = repr(time.time() + 0.1)
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _BURN, start, str(loops)],
+            stdout=subprocess.PIPE, text=True,
+        )
+        for _ in range(n_procs)
+    ]
+    try:
+        return max(float(proc.communicate(timeout=60)[0]) for proc in procs)
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+
+
+def measured_parallelism(loops: int = 1_500_000) -> float:
+    """Two-process throughput over one process's, measured now.
+
+    The same CPU burn ``perfbench/host.py`` stamps on benchmark runs:
+    2.0 means two free cores, 1.0 means the two processes share one —
+    which ``os.cpu_count()`` cannot tell on a shared host.
+    """
+    solo = _burn(1, loops)
+    return 2.0 * solo / _burn(2, loops)
 
 
 def bench_seeds() -> tuple:

@@ -3,15 +3,17 @@
 Sizes the four execution backends over dozens of generated
 vehicle-drives and appends the table to ``results/throughput.txt``.
 Parity (bit-identical reports across backends) is asserted always;
-speedup assertions are gated on ``os.cpu_count() > 1`` — the CI
-container may expose a single CPU, where a pool cannot win and the
-queue/net JSON transports are pure overhead, so the 1-CPU run checks
+the pool-vs-serial assertion is gated on a second core *measured* in
+the same test (a two-process CPU burn: effective parallelism >= 1.5).
+``os.cpu_count()`` is not enough — a CI container or a shared host may
+report two CPUs and deliver one, where a pool cannot win and the
+queue/net JSON transports are pure overhead, so such a run checks
 correctness only.
 """
 
 import os
 
-from conftest import append_artifact, append_bench
+from conftest import append_artifact, append_bench, measured_parallelism
 from repro.experiments import runtime as runtime_experiment
 
 #: Sizing knobs (kept modest by default; scale up via the environment
@@ -44,7 +46,11 @@ class TestRuntimeExecutors:
             result.queue_served_s,
             result.net_served_s,
         ) > 0, result.render()
-        if (os.cpu_count() or 1) > 1:
+        parallelism = measured_parallelism()
+        print(f"measured two-process parallelism: {parallelism:.2f}")
+        if parallelism >= 1.5:
             # With real cores the pool must at least roughly keep up
             # with serial (it usually wins; allow scheduling noise).
-            assert result.pool_s < result.serial_s * 1.5, result.render()
+            assert result.pool_s < result.serial_s * 1.5, (
+                f"{result.render()}\nmeasured parallelism {parallelism:.2f}"
+            )

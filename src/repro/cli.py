@@ -1024,6 +1024,8 @@ def _cmd_fleet(args) -> int:
     if args.fleet_command == "status":
         import json as _json
 
+        from repro.fleet.ledger import ScanLedger
+
         if not store.root.is_dir():
             # Surface a typo'd --store path instead of reporting a
             # healthy empty store (construction is side-effect-free).
@@ -1042,15 +1044,13 @@ def _cmd_fleet(args) -> int:
             ledger_path = store.ledger_path(vehicle_id)
             ledger_state, entries = "missing", None
             if ledger_path.is_file():
-                try:
-                    entries = len(
-                        _json.loads(ledger_path.read_text())["entries"]
-                    )
-                    ledger_state = "ok"
-                except (ValueError, KeyError, TypeError):
-                    # TypeError covers a scalar root / null entries —
-                    # as corrupt as unparseable JSON for status purposes.
-                    ledger_state = "corrupt"
+                # Adoption mode: status reads any context and names why
+                # an unusable ledger will rebuild ("corrupt",
+                # "format-upgraded") instead of counting its entries.
+                ledger = ScanLedger(ledger_path, context=None)
+                ledger_state = ledger.rebuild_reason or "ok"
+                if not ledger.rebuilt:
+                    entries = len(ledger)
             if args.json_stream:
                 # One object per line: the dashboard/scripting hook.
                 print(_json.dumps({
@@ -1062,9 +1062,9 @@ def _cmd_fleet(args) -> int:
                     "ledger_entries": entries,
                 }, sort_keys=True))
             else:
-                shown = {
-                    "ok": str(entries), "corrupt": "corrupt", "missing": "-",
-                }[ledger_state]
+                shown = {"ok": str(entries), "missing": "-"}.get(
+                    ledger_state, ledger_state
+                )
                 print(
                     f"{vehicle_id}: {len(archive)} captures, "
                     f"template={'yes' if has_template else 'no'}, "

@@ -36,6 +36,7 @@ scan inside a fixed RSS budget.
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -48,13 +49,42 @@ from repro.core.entropy import binary_entropy
 from repro.core.template import GoldenTemplate
 from repro.exceptions import DetectorError
 
-__all__ = ["KERNEL_COLUMNS", "KernelWorkspace", "WindowBlock", "scan_windows"]
+__all__ = [
+    "KERNEL_COLUMNS",
+    "KernelWorkspace",
+    "RESULT_FIELDS",
+    "RESULT_VERSION",
+    "WindowBlock",
+    "scan_windows",
+]
 
 #: The columns :func:`scan_windows` reads — the detector judges a window
 #: from identifier bits and times alone; ``is_attack`` only feeds the
 #: ground-truth ``n_attack_messages``.  Chunked scans ask their source
 #: for these and nothing else.
 KERNEL_COLUMNS = ("timestamp_us", "can_id", "is_attack")
+
+#: Version of the columnar window payload (:meth:`WindowBlock.to_payload`)
+#: that the scan fabric's results and the fleet ledger's entries carry.
+#: Version 1 was a list of per-window ``WindowResult.to_dict`` dicts;
+#: only version 2 decodes.
+RESULT_VERSION = 2
+
+#: The columnar payload: one little-endian array per
+#: :class:`WindowBlock` field, ``(name, dtype, per_bit)``; per-bit
+#: arrays are ``windows x n_bits``, row-major.  ``t_end_us`` is not
+#: sent: it is always ``t_start_us + window_us``.
+RESULT_FIELDS = (
+    ("index", "<i8", False),
+    ("t_start_us", "<i8", False),
+    ("n_messages", "<i8", False),
+    ("n_attack_messages", "<i8", False),
+    ("probabilities", "<f8", True),
+    ("entropy", "<f8", True),
+    ("deviations", "<f8", True),
+    ("violated", "|b1", True),
+    ("judged", "|b1", False),
+)
 
 #: Bits per packed partial-count field.  A field accumulates one bit's
 #: 1-count for one window, so windows must stay below ``2**16`` messages
@@ -350,6 +380,96 @@ class WindowBlock:
             violated=np.concatenate([b.violated for b in blocks]),
             judged=np.concatenate([b.judged for b in blocks]),
         )
+
+    @classmethod
+    def from_results(
+        cls, windows: Sequence[WindowResult], n_bits: int, window_us: int
+    ) -> "WindowBlock":
+        """Stack :class:`WindowResult` rows into one block (the inverse
+        of :meth:`results`).
+
+        A block has one window length and one row width, so every
+        window must be ``window_us`` long and ``n_bits`` wide.
+        """
+        if any(w.t_end_us - w.t_start_us != window_us for w in windows):
+            raise DetectorError(
+                f"cannot stack windows that are not {window_us} us long"
+            )
+        n = len(windows)
+        columns = {}
+        for name, dtype, per_bit in RESULT_FIELDS:
+            shape = (n, n_bits) if per_bit else (n,)
+            column = np.array([getattr(w, name) for w in windows], dtype=dtype[1:])
+            if not n:
+                column = column.reshape(shape)
+            elif column.shape != shape:
+                raise DetectorError(
+                    f"cannot stack {name} of shape {column.shape} "
+                    f"for {n} windows of {n_bits} bits"
+                )
+            columns[name] = column
+        return cls(window_us=window_us, **columns)
+
+    # ------------------------------------------------------------------
+    # The columnar payload (scan-fabric results and fleet-ledger entries)
+    # ------------------------------------------------------------------
+    def to_payload(self) -> dict:
+        """JSON-safe columnar payload: the raw little-endian bytes of
+        every :data:`RESULT_FIELDS` array, base64-encoded.
+
+        Lossless, so a decoded block is bit-identical to this one.
+        """
+        payload: dict = {"version": RESULT_VERSION, "windows": len(self)}
+        for name, dtype, _ in RESULT_FIELDS:
+            column = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+            payload[name] = base64.b64encode(column.tobytes()).decode("ascii")
+        return payload
+
+    @classmethod
+    def from_payload(
+        cls, payload: dict, n_bits: int, window_us: int
+    ) -> "WindowBlock":
+        """Inverse of :meth:`to_payload`.
+
+        Raises :class:`ValueError` on a payload it cannot decode
+        exactly: another version, a missing field, bad base64, an array
+        whose size disagrees with the window count, or a bool byte
+        other than 0 and 1.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"a {type(payload).__name__} payload is not the "
+                f"columnar result version {RESULT_VERSION}"
+            )
+        if payload.get("version") != RESULT_VERSION:
+            raise ValueError(
+                f"result version {payload.get('version')!r} is not "
+                f"supported (expected {RESULT_VERSION})"
+            )
+        n = payload.get("windows")
+        if type(n) is not int or n < 0:
+            raise ValueError(f"window count {n!r}")
+        columns = {}
+        for name, dtype, per_bit in RESULT_FIELDS:
+            if name not in payload:
+                raise ValueError(f"no {name} field")
+            try:
+                raw = base64.b64decode(payload[name], validate=True)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name} is not base64 ({exc})") from exc
+            shape = (n, n_bits) if per_bit else (n,)
+            size = n * (n_bits if per_bit else 1) * np.dtype(dtype).itemsize
+            if len(raw) != size:
+                raise ValueError(
+                    f"{name} holds {len(raw)} B, not {size} B for "
+                    f"{n} windows of {n_bits} bits"
+                )
+            if dtype == "|b1" and raw.translate(None, b"\x00\x01"):
+                raise ValueError(f"{name} holds bytes other than 0 and 1")
+            columns[name] = np.frombuffer(raw, dtype=dtype).reshape(
+                shape
+            ).astype(dtype[1:])
+        return cls(window_us=window_us, **columns)
 
 
 def scan_windows(

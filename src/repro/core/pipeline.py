@@ -22,6 +22,7 @@ from repro.core.config import IDSConfig
 from repro.core.detector import EntropyDetector, WindowResult
 from repro.core.engine import BatchEntropyEngine
 from repro.core.inference import InferenceEngine, InferenceResult
+from repro.core.kernel import WindowBlock
 from repro.core.template import GoldenTemplate
 from repro.exceptions import DetectorError
 from repro.io.archive import CaptureArchive
@@ -29,13 +30,68 @@ from repro.io.columnar import ColumnTrace
 from repro.io.trace import Trace
 
 
-@dataclass
 class DetectionReport:
-    """Everything one pipeline run produced."""
+    """Everything one pipeline run produced.
 
-    windows: List[WindowResult]
-    alerts: List[Alert]
-    inference: Optional[InferenceResult]
+    A report holds its windows either as a ``List[WindowResult]`` (fresh
+    scans) or as a :class:`~repro.core.kernel.WindowBlock`
+    (:meth:`from_block`: the fleet ledger's replay).  A block-backed
+    report builds ``windows`` and ``alerts`` on first access, so
+    consumers that read arrays (:attr:`block`) never materialise rows.
+    """
+
+    def __init__(
+        self,
+        windows: List[WindowResult],
+        alerts: List[Alert],
+        inference: Optional[InferenceResult],
+    ) -> None:
+        self._windows: Optional[List[WindowResult]] = windows
+        self._alerts: Optional[List[Alert]] = alerts
+        self._block: Optional[WindowBlock] = None
+        self.inference = inference
+
+    @classmethod
+    def from_block(
+        cls, block: WindowBlock, inference: Optional[InferenceResult] = None
+    ) -> "DetectionReport":
+        """A report over ``block``.  Its alerts are the alarming windows'
+        :meth:`~repro.core.detector.WindowResult.to_alert`, the same
+        expression every scan path uses."""
+        report = cls(windows=None, alerts=None, inference=inference)
+        report._block = block
+        return report
+
+    @property
+    def windows(self) -> List[WindowResult]:
+        """Per-window verdicts in window order."""
+        if self._windows is None:
+            self._windows = self._block.results()
+        return self._windows
+
+    @property
+    def alerts(self) -> List[Alert]:
+        """One alert per alarming window."""
+        if self._alerts is None:
+            self._alerts = [w.to_alert() for w in self.windows if w.alarm]
+        return self._alerts
+
+    @property
+    def block(self) -> WindowBlock:
+        """The windows as one struct-of-arrays block.
+
+        A list-backed report stacks its rows on first access (all of
+        them must share one window length and width).
+        """
+        if self._block is None:
+            windows = self._windows
+            first = windows[0] if windows else None
+            self._block = WindowBlock.from_results(
+                windows,
+                n_bits=first.probabilities.size if first else 0,
+                window_us=first.t_end_us - first.t_start_us if first else 0,
+            )
+        return self._block
 
     # ------------------------------------------------------------------
     # Window-level aggregates
@@ -134,15 +190,16 @@ class DetectionReport:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
-    # Serialisation (the fleet ledger persists scan results)
+    # Serialisation (JSON report output; the fleet ledger stores the
+    # columnar form instead, see repro.fleet.ledger)
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """JSON-compatible representation.
 
         Lossless: every window, alert and inference field survives the
-        round trip bit for bit (JSON floats are shortest-repr exact), so
-        a report replayed from the fleet ledger is indistinguishable
-        from one produced by a fresh scan.
+        round trip bit for bit (JSON floats are shortest-repr exact).
+        Block-backed and list-backed reports of the same scan give the
+        same dict.
         """
         return {
             "windows": [w.to_dict() for w in self.windows],

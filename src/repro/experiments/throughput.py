@@ -21,6 +21,7 @@ it); the experiment quantifies the cost gap between them.
 from __future__ import annotations
 
 import os
+import statistics
 import tempfile
 import time
 from dataclasses import dataclass
@@ -1034,9 +1035,11 @@ class ObsOverheadResult:
     ``pre_mps`` is the uninstrumented pre-telemetry loop, ``off_mps``
     the shipped path with telemetry disabled (one predictable branch
     per call site), ``on_mps`` the same path under an enabled registry
-    recording per-stage spans.  ``parity_ok`` asserts all three produce
-    bit-identical window verdicts — instrumentation that changed the
-    answer would be worse than useless.
+    recording per-stage spans (each best of ``reps``).  ``parity_ok``
+    asserts all three produce bit-identical window verdicts —
+    instrumentation that changed the answer would be worse than
+    useless.  ``paired_off_pct`` holds one off-vs-pre slowdown per
+    interleaved pair of runs.
     """
 
     n_frames: int
@@ -1050,13 +1053,14 @@ class ObsOverheadResult:
     #: ``(span name, observations, total seconds)`` from the traced pass.
     stages: Tuple[Tuple[str, int, float], ...]
     parity_ok: bool
+    paired_off_pct: Tuple[float, ...]
 
     @property
     def off_overhead_pct(self) -> float:
-        """Slowdown of the disabled-telemetry path vs the pre loop."""
-        if not self.pre_mps:
-            return 0.0
-        return (1.0 - self.off_mps / self.pre_mps) * 100.0
+        """Slowdown of the disabled-telemetry path vs the pre loop: the
+        median over interleaved pairs, so host drift during the
+        measurement hits both sides of each pair alike."""
+        return statistics.median(self.paired_off_pct)
 
     @property
     def on_overhead_pct(self) -> float:
@@ -1075,7 +1079,8 @@ class ObsOverheadResult:
             f"{'path':>18} {'msg/s':>14} {'overhead':>9}",
             f"{'pre-obs loop':>18} {self.pre_mps:>14,.0f} {'-':>9}",
             f"{'telemetry off':>18} {self.off_mps:>14,.0f} "
-            f"{self.off_overhead_pct:>8.2f}%",
+            f"{self.off_overhead_pct:>8.2f}% (median of "
+            f"{len(self.paired_off_pct)} interleaved pairs)",
             f"{'telemetry on':>18} {self.on_mps:>14,.0f} "
             f"{self.on_overhead_pct:>8.2f}%",
             f"traced pass: {self.n_events} events",
@@ -1133,7 +1138,7 @@ def run_obs(
     template: GoldenTemplate,
     config: Optional[IDSConfig] = None,
     n_frames: int = 300_000,
-    reps: int = 3,
+    reps: int = 21,
     chunk_windows: int = DEFAULT_CHUNK_WINDOWS,
     seed: int = 41,
     scenario: str = "city",
@@ -1142,12 +1147,15 @@ def run_obs(
 ) -> ObsOverheadResult:
     """Measure the telemetry layer's cost on the chunked scan path.
 
-    Three variants run in one process on the same capture, best of
-    ``reps`` each: the pre-instrumentation loop (inlined above), the
-    shipped path with telemetry disabled, and the shipped path under an
-    enabled registry.  The traced pass also yields the per-stage span
-    totals and the captured event stream, so the artifact records what
-    the instrumentation *sees*, not just what it costs.
+    Three variants run in one process on the same capture: the
+    pre-instrumentation loop (inlined above), the shipped path with
+    telemetry disabled, and the shipped path under an enabled registry.
+    The first two run as ``reps`` interleaved pairs (alternating which
+    goes first), and the off-path overhead is the median of the paired
+    slowdowns; rates are best of ``reps``.  The traced pass also yields
+    the per-stage span totals and the captured event stream, so the
+    artifact records what the instrumentation *sees*, not just what it
+    costs.
     """
     from repro import obs
 
@@ -1177,14 +1185,22 @@ def run_obs(
         == [w.to_dict() for w in on]
     )
 
-    pre_mps = _best_rate(
-        lambda: _uninstrumented_stream_scan(engine, capture, chunk_windows),
-        n, reps,
+    pre_s: List[float] = []
+    off_s: List[float] = []
+    variants = (
+        (pre_s, lambda: _uninstrumented_stream_scan(engine, capture, chunk_windows)),
+        (off_s, lambda: engine.scan_stream(capture, chunk_windows=chunk_windows)),
     )
-    off_mps = _best_rate(
-        lambda: engine.scan_stream(capture, chunk_windows=chunk_windows),
-        n, reps,
+    for rep in range(max(1, reps)):
+        order = variants if rep % 2 == 0 else variants[::-1]
+        for times, scan in order:
+            start = time.perf_counter()
+            scan()
+            times.append(time.perf_counter() - start)
+    paired_off_pct = tuple(
+        (1.0 - pre / off) * 100.0 for pre, off in zip(pre_s, off_s)
     )
+    pre_mps, off_mps = n / min(pre_s), n / min(off_s)
     with obs.capture():  # no sinks: the registry/span cost floor
         on_mps = _best_rate(
             lambda: engine.scan_stream(capture, chunk_windows=chunk_windows),
@@ -1207,4 +1223,5 @@ def run_obs(
         n_events=len(sink.events),
         stages=stages,
         parity_ok=parity_ok,
+        paired_off_pct=paired_off_pct,
     )

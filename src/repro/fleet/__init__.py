@@ -6,7 +6,7 @@ then months of captures per vehicle monitored on a schedule.  This
 package turns the one-shot archive scanner into that system:
 
 * :mod:`repro.fleet.ledger` — :class:`ScanLedger`, a crash-safe
-  JSON-on-disk cache mapping capture fingerprints to serialized scan
+  JSON-on-disk cache mapping capture fingerprints to columnar scan
   reports (plus :meth:`ScanLedger.compact` maintenance);
 * :mod:`repro.fleet.watch` — :func:`watch_scan`, incremental re-scans
   that only pay for new/changed captures yet produce

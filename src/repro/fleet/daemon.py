@@ -5,12 +5,14 @@ now?"; a deployment wants the question asked *continuously*.
 :class:`WatchDaemon` is that loop, built so that every piece of real
 work happens in code that already exists and is already parity-tested:
 
-* each **cycle** compacts every vehicle's ledger
-  (:meth:`ScanLedger.compact` — entries for rotated-out captures are
-  dropped before they accumulate), runs the incremental
-  :func:`~repro.fleet.drift.analyze_fleet` pass over the store (only
-  new/changed captures pay for detection; any runtime executor
-  backend), and emits one status line;
+* each **cycle** runs the incremental
+  :func:`~repro.fleet.drift.analyze_fleet` pass over every vehicle of
+  the store (only new/changed captures pay for detection; any runtime
+  executor backend) and emits one status line.  Each vehicle's ledger
+  is loaded and saved once: the watch scan drops entries for
+  rotated-out captures in that same save, so the standalone
+  compaction (:meth:`FleetStore.compact_ledgers`) is left to
+  ``repro-ids fleet prune``;
 * a **drift alarm** closes the monitoring loop: the drifting vehicle is
   re-baselined through :func:`~repro.fleet.retrain.retrain_vehicle`
   (recent clean captures, attacked windows excluded, retrain event
@@ -69,7 +71,8 @@ class CycleResult:
     retrained: List[str] = field(default_factory=list)
     #: Vehicles whose drift alarmed but retraining was skipped/failed.
     retrain_skipped: List[str] = field(default_factory=list)
-    #: Ledger entries dropped by the pre-scan compaction.
+    #: Ledger entries this cycle's watch scans pruned (their captures
+    #: left the archive).
     compacted: int = 0
     duration_s: float = 0.0
 
@@ -250,9 +253,8 @@ class WatchDaemon:
     # One cycle
     # ------------------------------------------------------------------
     def run_cycle(self) -> CycleResult:
-        """Run one compact + scan + retrain cycle and log its status."""
+        """Run one scan + retrain cycle and log its status."""
         start = time.perf_counter()
-        compacted = sum(self.store.compact_ledgers().values())
         report = self.pipeline.analyze_fleet(
             self.store,
             workers=self.workers,
@@ -292,7 +294,7 @@ class WatchDaemon:
             report=report,
             retrained=retrained,
             retrain_skipped=skipped,
-            compacted=compacted,
+            compacted=sum(w.pruned for w in report.watch.values()),
             duration_s=time.perf_counter() - start,
         )
         self._cycle_count += 1

@@ -177,8 +177,8 @@ def _capture_order_key(item):
     chronology — hence natural ordering (``drive9`` < ``drive10``) and
     the store convention of sortable capture names (ISO dates).
     """
-    name, report = item
-    start = report.windows[0].t_start_us if report.windows else 0
+    name, _, block = item
+    start = int(block.t_start_us[0]) if len(block) else 0
     return (start, _natural_name_key(name))
 
 
@@ -198,6 +198,9 @@ def aggregate_vehicle(
     name carries the chronology — give store captures sortable names
     (ISO dates, zero-padded or not: ``drive9`` sorts before
     ``drive10``).
+
+    Each report is read as arrays (:attr:`DetectionReport.block`): a
+    ledger-replayed report builds no per-window objects here.
     """
     if drift_slack < 0 or drift_limit <= 0:
         raise DetectorError(
@@ -205,20 +208,20 @@ def aggregate_vehicle(
             f"{drift_slack}/{drift_limit}"
         )
     named = sorted(
-        ((Path(p).name, report) for p, report in captures),
+        ((Path(p).name, report, report.block) for p, report in captures),
         key=_capture_order_key,
     )
-    names = [name for name, _ in named]
-    reports = [report for _, report in named]
-    alarmed = [name for name, r in named if r.alarmed_windows]
+    names = [name for name, _, _ in named]
+    reports = [report for _, report, _ in named]
+    alarmed = [name for name, _, block in named if block.alarm_mask.any()]
 
     drift_names: List[str] = []
     rows: List[np.ndarray] = []
-    for name, report in named:
-        clean = report.clean_windows
-        if not clean:
+    for name, _, block in named:
+        clean = block.judged & (block.n_attack_messages == 0)
+        if not clean.any():
             continue  # all-attack capture: no baseline signal in it
-        entropy = np.mean([w.entropy for w in clean], axis=0)
+        entropy = block.entropy[clean].mean(axis=0)
         drift_names.append(name)
         rows.append(entropy - template.mean_entropy)
 

@@ -5,8 +5,21 @@ run; a fleet deployment scans the same months of captures daily with
 only a handful of new files.  :class:`ScanLedger` is the persistence
 layer that makes re-scans incremental: a JSON file mapping each
 capture's *relative path* to its content fingerprint
-(:func:`repro.io.fingerprint.fingerprint_file`) and the serialized
-:class:`~repro.core.pipeline.DetectionReport` of its last scan.
+(:func:`repro.io.fingerprint.fingerprint_file`) and the cached report of
+its last scan.
+
+:class:`ScanLedger` itself is an opaque store of ``{"fingerprint",
+"report"}`` entries.  :func:`encode_report` / :func:`decode_report`
+define what a version-2 ``report`` holds::
+
+    {"windows": <WindowBlock.to_payload()>, "inference": <dict> | null}
+
+The windows are the columnar payload the scan fabric's results carry
+(one encoder, one decoder for wire, queue and ledger), and a decoded
+entry replays as a block-backed
+:class:`~repro.core.pipeline.DetectionReport` without building
+per-window objects.  Alerts are not stored: they are the alarming
+windows' ``to_alert()``, the same expression every scan path uses.
 
 Correctness properties:
 
@@ -15,12 +28,15 @@ Correctness properties:
 * **keyed by detection context** — the ledger stores a ``context`` key
   derived from the template, config and inference settings; a retrained
   template invalidates every entry at load time;
-* **crash-safe** — :func:`atomic_write_text` writes a temp file in the
-  same directory and ``os.replace``\\ s it over the ledger, so a killed
-  watch run leaves either the old ledger or the new one, never a
+* **crash-safe and durable** — :func:`atomic_write_text` writes and
+  fsyncs a temp file in the same directory, ``os.replace``\\ s it over
+  the ledger and fsyncs the directory, so a killed watch run (or a
+  power loss) leaves either the old ledger or the new one, never a
   truncated hybrid; a ledger that *is* corrupt (partial write by a
   foreign tool, disk fault) is detected at load and rebuilt from
-  scratch rather than trusted.
+  scratch rather than trusted;
+* **versioned** — a ledger written by an older format loads empty with
+  ``rebuild_reason == "format-upgraded"`` and rescans once.
 """
 
 from __future__ import annotations
@@ -29,12 +45,17 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Union
 
+from repro.core.inference import InferenceResult
+from repro.core.kernel import WindowBlock
+from repro.core.pipeline import DetectionReport
 from repro.io.atomic import atomic_write_text
 
-__all__ = ["ScanLedger", "atomic_write_text"]
+__all__ = ["ScanLedger", "atomic_write_text", "decode_report", "encode_report"]
 
-#: On-disk schema version; bump on incompatible layout changes.
-LEDGER_VERSION = 1
+#: On-disk schema version; bump on incompatible layout changes.  Version
+#: 1 stored per-window ``DetectionReport.to_dict`` reports; version 2
+#: stores :func:`encode_report` entries.
+LEDGER_VERSION = 2
 
 
 class ScanLedger:
@@ -53,8 +74,9 @@ class ScanLedger:
         under a different context loads empty — cached verdicts from an
         old template must never answer for a new one.  Pass ``None`` to
         *adopt* whatever context the file already carries: maintenance
-        operations (:meth:`compact`, ``repro-ids fleet prune``) work on
-        a ledger without knowing the template that produced it, and must
+        operations (:meth:`compact`, ``repro-ids fleet prune`` and
+        ``fleet status``) work on a ledger without knowing the template
+        that produced it, and must
         never wipe its entries just because they cannot recompute the
         context hash.
 
@@ -62,9 +84,11 @@ class ScanLedger:
     so incremental scans can assert exactly how much work the ledger
     saved (the watch tests do).  ``rebuilt`` is True whenever the file
     existed but loaded empty; ``rebuild_reason`` says why —
-    ``"corrupt"`` (torn/foreign file: worth an operator's attention) or
-    ``"context-changed"`` (retrained template or new settings: routine)
-    — so the two cases stay distinguishable in scan output.
+    ``"corrupt"`` (torn/foreign file: worth an operator's attention),
+    ``"format-upgraded"`` (written by an older ledger version: one
+    rescan) or ``"context-changed"`` (retrained template or new
+    settings: routine) — so the cases stay distinguishable in scan
+    output.
     """
 
     def __init__(
@@ -95,7 +119,12 @@ class ScanLedger:
             payload = json.loads(self.path.read_text(encoding="ascii"))
             if not isinstance(payload, dict):
                 raise ValueError("ledger root is not an object")
-            if payload.get("version") != LEDGER_VERSION:
+            version = payload.get("version")
+            if type(version) is int and 0 < version < LEDGER_VERSION:
+                # An older format: valid once, never replayable now.
+                self.rebuild_reason = "format-upgraded"
+                return
+            if version != LEDGER_VERSION:
                 raise ValueError("ledger schema version mismatch")
             entries = payload["entries"]
             if not isinstance(entries, dict) or any(
@@ -161,11 +190,12 @@ class ScanLedger:
         directory path).  Watch scans prune as a side effect, but a
         vehicle whose captures are rotated out between scans would grow
         its ledger forever; this is the standalone maintenance pass
-        (``repro-ids fleet prune``, and each watch-daemon cycle).  The
+        (``repro-ids fleet prune``; the watch daemon's scans prune every
+        vehicle as they go).  The
         ledger is only rewritten when something was actually pruned, so
-        compacting a corrupt file never destroys evidence by saving the
-        rebuilt-empty state over it.  Returns the number of entries
-        dropped.
+        compacting a corrupt or older-format file never touches it by
+        saving the rebuilt-empty state over it.  Returns the number of
+        entries dropped.
         """
         from repro.io.archive import CaptureArchive  # cycle-free import
 
@@ -189,3 +219,29 @@ class ScanLedger:
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write_text(self.path, json.dumps(payload))
+
+
+def encode_report(report: DetectionReport) -> dict:
+    """A report as a version-2 ledger entry's ``report`` payload."""
+    inference = report.inference
+    return {
+        "windows": report.block.to_payload(),
+        "inference": None if inference is None else inference.to_dict(),
+    }
+
+
+def decode_report(payload: dict, n_bits: int, window_us: int) -> DetectionReport:
+    """Inverse of :func:`encode_report`: a block-backed report.
+
+    ``n_bits`` and ``window_us`` come from the detection config the
+    ledger's context was computed from.  Raises :class:`ValueError`,
+    :class:`KeyError` or :class:`TypeError` (or a
+    :class:`~repro.exceptions.ReproError` from the inference payload)
+    on an entry it cannot decode exactly; callers treat that as a miss.
+    """
+    block = WindowBlock.from_payload(payload["windows"], n_bits, window_us)
+    inference = payload["inference"]
+    return DetectionReport.from_block(
+        block,
+        None if inference is None else InferenceResult.from_dict(inference),
+    )

@@ -293,12 +293,12 @@ class FleetStore:
     def compact_ledgers(self) -> Dict[str, int]:
         """Compact every vehicle's ledger against its current archive.
 
-        The shared maintenance pass behind ``repro-ids fleet prune`` and
-        each watch-daemon cycle: entries whose capture files left the
-        archive are dropped (:meth:`ScanLedger.compact` — loaded in
-        context-adoption mode, so unknown detection contexts are never
-        wiped).  Returns pruned-entry counts per vehicle that had a
-        ledger.
+        The maintenance pass behind ``repro-ids fleet prune``: entries
+        whose capture files left the archive are dropped
+        (:meth:`ScanLedger.compact` — loaded in context-adoption mode, so
+        unknown detection contexts are never wiped).  The watch daemon
+        does not call it: each cycle's watch scans prune as they save.
+        Returns pruned-entry counts per vehicle that had a ledger.
         """
         from repro.fleet.ledger import ScanLedger  # cycle-free import
 

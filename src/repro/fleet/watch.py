@@ -14,10 +14,12 @@ The headline guarantee, asserted by ``tests/test_fleet_watch.py``: the
 assembled :class:`~repro.core.pipeline.ArchiveReport` is **bit-identical
 to a cold full scan** of the same archive at any worker count.  Fresh
 results are trivially identical (same code, same bytes); cached results
-are identical because :class:`DetectionReport` serialisation is lossless
-(JSON floats round-trip ``float64`` exactly) and because the ledger
-invalidates itself whenever the detection context — template, config,
-identifier pool, ``infer_k`` — changes.
+are identical because the ledger's columnar entries carry the raw bytes
+of every window array (:func:`repro.fleet.ledger.encode_report`) and
+because the ledger invalidates itself whenever the detection context —
+template, config, identifier pool, ``infer_k`` — changes.  Cached
+captures replay as block-backed reports: no per-window objects are
+built unless a caller asks for them.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from repro.core.pipeline import ArchiveReport, DetectionReport, IDSPipeline
 from repro.core.shard import ShardedScanner
 from repro.core.template import GoldenTemplate
 from repro.exceptions import ReproError
-from repro.fleet.ledger import ScanLedger
+from repro.fleet.ledger import ScanLedger, decode_report, encode_report
 from repro.io.archive import CaptureArchive
 from repro.io.fingerprint import fingerprint_file
 
@@ -135,6 +137,7 @@ def watch_scan(
         pipeline.template, pipeline.config, pipeline.id_pool, infer_k
     )
     ledger = ScanLedger(ledger_path, context)
+    n_bits, window_us = pipeline.config.n_bits, pipeline.config.window_us
 
     rels = [p.relative_to(archive.directory).as_posix() for p in archive.paths]
     fingerprints = [fingerprint_file(p) for p in archive.paths]
@@ -146,7 +149,7 @@ def watch_scan(
         report = None
         if entry is not None:
             try:
-                report = DetectionReport.from_dict(entry)
+                report = decode_report(entry, n_bits, window_us)
             except (ReproError, TypeError, KeyError, ValueError):
                 # The entry passed the ledger's shallow schema check but
                 # its report payload is malformed (foreign writer, hand
@@ -174,7 +177,7 @@ def watch_scan(
             # cannot drift apart.
             report = pipeline._finish_report(scan.windows, alerts, infer_k)
             reports[i] = report
-            ledger.put(rels[i], fingerprints[i], report.to_dict())
+            ledger.put(rels[i], fingerprints[i], encode_report(report))
 
     pruned = ledger.prune(rels)
     ledger.save()

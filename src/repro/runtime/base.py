@@ -37,20 +37,24 @@ backends refuse explicitly.
 
 from __future__ import annotations
 
-import base64
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Union
-
-import numpy as np
 
 from repro.baselines.base import BaselineIDS, BaselineVerdict
 from repro.core.alerts import AlertSink
 from repro.core.config import IDSConfig
 from repro.core.detector import WindowResult
 from repro.core.engine import DEFAULT_CHUNK_WINDOWS, BatchEntropyEngine
-from repro.core.kernel import WindowBlock
+# The columnar result payload (RESULT_VERSION, RESULT_FIELDS) is
+# WindowBlock's codec, shared by fabric results and fleet-ledger entries;
+# the names stay importable from here.
+from repro.core.kernel import (  # noqa: F401 - RESULT_* re-exported
+    RESULT_FIELDS,
+    RESULT_VERSION,
+    WindowBlock,
+)
 from repro.core.template import GoldenTemplate
 from repro.exceptions import DetectorError
 from repro.io.archive import (
@@ -72,26 +76,6 @@ __all__ = [
 
 #: Work-queue task payload schema version; bump on incompatible changes.
 SPEC_VERSION = 1
-
-#: Result payload version.  Version 1 was a list of per-window
-#: ``WindowResult.to_dict`` dicts; version 2 is the columnar payload of
-#: :meth:`EntropyScanSpec.encode_result`.  Only version 2 decodes.
-RESULT_VERSION = 2
-
-#: The columnar result payload: one little-endian array per
-#: :class:`~repro.core.kernel.WindowBlock` field, ``(name, dtype,
-#: per_bit)``; per-bit arrays are ``windows x n_bits``, row-major.
-RESULT_FIELDS = (
-    ("index", "<i8", False),
-    ("t_start_us", "<i8", False),
-    ("n_messages", "<i8", False),
-    ("n_attack_messages", "<i8", False),
-    ("probabilities", "<f8", True),
-    ("entropy", "<f8", True),
-    ("deviations", "<f8", True),
-    ("violated", "|b1", True),
-    ("judged", "|b1", False),
-)
 
 
 class TaskFormatError(DetectorError):
@@ -208,66 +192,20 @@ class EntropyScanSpec(ScanSpec):
         return payload
 
     def encode_result(self, result: List[WindowResult]) -> dict:
-        # Columnar and lossless: the raw little-endian bytes of every
-        # field, so an uploaded result is bit-identical to a local one.
-        # t_end_us is not sent; it is always t_start_us + window_us.
-        n, n_bits = len(result), self.config.n_bits
-        window_us = self.config.window_us
-        if any(w.t_end_us - w.t_start_us != window_us for w in result):
-            raise DetectorError(
-                f"cannot encode windows that are not {window_us} us long"
-            )
-        payload: dict = {"version": RESULT_VERSION, "windows": n}
-        for name, dtype, per_bit in RESULT_FIELDS:
-            column = np.array([getattr(w, name) for w in result], dtype=dtype)
-            if n and column.shape != ((n, n_bits) if per_bit else (n,)):
-                raise DetectorError(
-                    f"cannot encode {name} of shape {column.shape} "
-                    f"for {n} windows of {n_bits} bits"
-                )
-            payload[name] = base64.b64encode(column.tobytes()).decode("ascii")
-        return payload
+        # The lossless columnar payload (WindowBlock.to_payload), so an
+        # uploaded result is bit-identical to a local one.
+        block = WindowBlock.from_results(
+            result, self.config.n_bits, self.config.window_us
+        )
+        return block.to_payload()
 
     def decode_result(self, payload: dict) -> List[WindowResult]:
-        n_bits = self.config.n_bits
         try:
-            if not isinstance(payload, dict):
-                raise ValueError(
-                    f"a {type(payload).__name__} payload is not the "
-                    f"columnar result version {RESULT_VERSION}"
-                )
-            if payload.get("version") != RESULT_VERSION:
-                raise ValueError(
-                    f"result version {payload.get('version')!r} is not "
-                    f"supported (expected {RESULT_VERSION})"
-                )
-            n = payload.get("windows")
-            if type(n) is not int or n < 0:
-                raise ValueError(f"window count {n!r}")
-            columns = {}
-            for name, dtype, per_bit in RESULT_FIELDS:
-                if name not in payload:
-                    raise ValueError(f"no {name} field")
-                try:
-                    raw = base64.b64decode(payload[name], validate=True)
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"{name} is not base64 ({exc})") from exc
-                shape = (n, n_bits) if per_bit else (n,)
-                width = n_bits if per_bit else 1
-                size = n * width * np.dtype(dtype).itemsize
-                if len(raw) != size:
-                    raise ValueError(
-                        f"{name} holds {len(raw)} B, not {size} B for "
-                        f"{n} windows of {n_bits} bits"
-                    )
-                if dtype == "|b1" and raw.translate(None, b"\x00\x01"):
-                    raise ValueError(f"{name} holds bytes other than 0 and 1")
-                columns[name] = np.frombuffer(raw, dtype=dtype).reshape(
-                    shape
-                ).astype(dtype[1:])
+            block = WindowBlock.from_payload(
+                payload, self.config.n_bits, self.config.window_us
+            )
         except ValueError as exc:
             raise TaskFormatError(f"malformed result payload: {exc}") from exc
-        block = WindowBlock(window_us=self.config.window_us, **columns)
         return block.results()
 
 
