@@ -40,7 +40,6 @@ from repro.core.pipeline import (
 )
 from repro.core.response import Blocklist, ResponseGate, ResponseOutcome
 from repro.core.ring import FrameRing
-from repro.core.shard import CaptureScan, ShardedScanner
 from repro.core.sliding import SlidingEntropyDetector
 from repro.core.template import GoldenTemplate, TemplateBuilder, build_template
 
@@ -51,7 +50,6 @@ __all__ = [
     "BatchEntropyEngine",
     "BitCounter",
     "Blocklist",
-    "CaptureScan",
     "DetectionReport",
     "EntropyDetector",
     "FrameRing",
@@ -64,7 +62,6 @@ __all__ = [
     "MultiBusReport",
     "ResponseGate",
     "ResponseOutcome",
-    "ShardedScanner",
     "SlidingEntropyDetector",
     "TemplateBuilder",
     "WindowBlock",

@@ -30,11 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.config import IDSConfig
+from repro.core.kernel import WindowBlock
 from repro.core.template import GoldenTemplate
 from repro.exceptions import InferenceError
 
@@ -506,22 +507,30 @@ class InferenceEngine:
             member_shares=member_shares,
         )
 
-    def infer_from_windows(self, windows: Sequence, k: int = 1) -> InferenceResult:
+    def infer_from_windows(
+        self, windows: WindowBlock, k: Union[int, str] = 1
+    ) -> InferenceResult:
         """Aggregate alarmed windows and infer.
 
-        ``windows`` are :class:`~repro.core.detector.WindowResult`
-        objects; only alarmed windows contribute.  Falls back to all
-        judged windows when none alarmed (so the caller can still ask
-        "what would you have guessed").
+        ``windows`` is a :class:`~repro.core.kernel.WindowBlock`; only
+        alarmed rows contribute.  Falls back to all judged rows when
+        none alarmed (so the caller can still ask "what would you have
+        guessed").  The message-weighted mean adds the rows in window
+        order, the same float sequence as a per-window loop.  ``k`` may
+        be ``"auto"``: :meth:`estimate_k` then picks it from the same
+        aggregate.
         """
-        selected = [w for w in windows if w.alarm]
-        if not selected:
-            selected = [w for w in windows if w.judged]
-        if not selected:
+        selected = windows.alarm_mask
+        if not selected.any():
+            selected = windows.judged
+        n_windows = int(np.count_nonzero(selected))
+        if not n_windows:
             raise InferenceError("no judged windows to infer from")
-        total = sum(w.n_messages for w in selected)
-        combined = np.zeros(self.config.n_bits, dtype=float)
-        for window in selected:
-            combined += window.probabilities * window.n_messages
-        combined /= total
-        return self.infer(combined, total, k=k, n_windows=len(selected))
+        n_messages = windows.n_messages[selected]
+        total = int(n_messages.sum())
+        combined = (
+            windows.probabilities[selected] * n_messages[:, None]
+        ).sum(axis=0) / total
+        if k == "auto":
+            k = self.estimate_k(combined, total, n_windows=n_windows)
+        return self.infer(combined, total, k=k, n_windows=n_windows)

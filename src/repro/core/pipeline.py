@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.can.constants import SECOND_US
 from repro.core.alerts import Alert, AlertSink
 from repro.core.config import IDSConfig
@@ -33,11 +31,13 @@ from repro.io.trace import Trace
 class DetectionReport:
     """Everything one pipeline run produced.
 
-    A report holds its windows either as a ``List[WindowResult]`` (fresh
-    scans) or as a :class:`~repro.core.kernel.WindowBlock`
-    (:meth:`from_block`: the fleet ledger's replay).  A block-backed
-    report builds ``windows`` and ``alerts`` on first access, so
-    consumers that read arrays (:attr:`block`) never materialise rows.
+    Every scan path — :meth:`IDSPipeline.analyze`, archive and watch
+    scans, the fleet ledger's replay — builds a report over the
+    kernel's :class:`~repro.core.kernel.WindowBlock` (:meth:`from_block`).
+    A block-backed report builds ``windows`` and ``alerts`` on first
+    access, so consumers that read arrays (:attr:`block`) never
+    materialise rows.  The constructor takes ``WindowResult`` rows;
+    :meth:`from_dict` and hand-built reports use it.
     """
 
     def __init__(
@@ -393,23 +393,13 @@ class IDSPipeline:
             else None
         )
 
-    def _finish_report(
-        self, windows: List[WindowResult], alerts: List[Alert], infer_k
-    ) -> DetectionReport:
-        """Inference + report assembly shared by every analyze path."""
+    def _report(self, block: WindowBlock, infer_k) -> DetectionReport:
+        """A block-backed report, with inference when the block alarmed
+        and the pipeline has an identifier pool."""
         inference: Optional[InferenceResult] = None
-        if self._engine is not None and any(w.alarm for w in windows):
-            if infer_k == "auto":
-                alarmed = [w for w in windows if w.alarm]
-                total = sum(w.n_messages for w in alarmed)
-                combined = sum(
-                    w.probabilities * w.n_messages for w in alarmed
-                ) / total
-                infer_k = self._engine.estimate_k(
-                    combined, total, n_windows=len(alarmed)
-                )
-            inference = self._engine.infer_from_windows(windows, k=infer_k)
-        return DetectionReport(windows=windows, alerts=alerts, inference=inference)
+        if self._engine is not None and block.alarm_mask.any():
+            inference = self._engine.infer_from_windows(block, k=infer_k)
+        return DetectionReport.from_block(block, inference)
 
     def analyze(self, trace: Union[Trace, ColumnTrace], infer_k=1) -> DetectionReport:
         """Run detection (and inference, when a pool is set) over a trace.
@@ -426,10 +416,43 @@ class IDSPipeline:
         """
         if len(trace) == 0:
             raise DetectorError("cannot analyze an empty trace")
-        sink = AlertSink()
-        engine = BatchEntropyEngine(self.template, self.config, sink)
-        windows = engine.scan(trace)
-        return self._finish_report(windows, list(sink.alerts), infer_k)
+        block = BatchEntropyEngine(self.template, self.config).scan_block(trace)
+        return self._report(block, infer_k)
+
+    def scan_captures(
+        self,
+        paths: Sequence[Union[str, Path]],
+        workers: Optional[int] = None,
+        infer_k=1,
+        executor=None,
+        chunk_windows: Optional[int] = None,
+    ) -> List[DetectionReport]:
+        """Scan capture files through an executor, one report per path.
+
+        The one scan step behind :meth:`analyze_archive` and
+        :func:`repro.fleet.watch.watch_scan`.  Detection fans out as
+        one task per capture through ``executor`` — any
+        :class:`~repro.runtime.base.Executor`; ``None`` builds a
+        :class:`~repro.runtime.pool.PoolExecutor` of ``workers``
+        (``None`` picks a default, ``1`` scans inline).  Every backend
+        returns the same :class:`~repro.core.kernel.WindowBlock` per
+        capture, bit-identical to scanning each capture serially.
+        ``chunk_windows`` switches each slot to the out-of-core scan
+        (memory-mapped ``.npz`` load, window-aligned chunked kernel) —
+        same bits, bounded memory per capture.  Inference runs in this
+        process, only for captures that alarmed.  Reports come back in
+        ``paths`` order and build no per-window rows until asked.
+        """
+        from repro.runtime import EntropyScanSpec, PoolExecutor  # cycle-free
+
+        spec = EntropyScanSpec(self.template, self.config, chunk_windows)
+        if executor is None:
+            executor = PoolExecutor(workers)
+        if not paths:
+            return []
+        return [
+            self._report(block, infer_k) for block in executor.run(spec, paths)
+        ]
 
     def analyze_archive(
         self,
@@ -442,36 +465,22 @@ class IDSPipeline:
         """Scan a whole capture archive, sharded across an executor.
 
         ``archive`` is a :class:`~repro.io.archive.CaptureArchive` or a
-        directory path.  Detection fans out through
-        :class:`~repro.core.shard.ShardedScanner` — by default a
-        process pool (``workers`` pool size; ``None`` picks a default,
-        ``1`` scans inline), or any
-        :class:`~repro.runtime.base.Executor` passed as ``executor``
-        (e.g. a :class:`~repro.runtime.queue.WorkQueueExecutor` served
-        by ``repro-ids worker`` processes on other hosts).  Every
-        backend is bit-identical to scanning each capture serially.
-        ``chunk_windows`` switches each slot to the out-of-core scan
-        (memory-mapped ``.npz`` load, window-aligned chunked kernel) —
-        same bits, bounded memory per capture.  Inference runs per
-        capture in the parent process, only for captures that alarmed.
+        directory path; its captures go through :meth:`scan_captures`
+        (``workers``, ``infer_k``, ``executor`` and ``chunk_windows``
+        as there), in the archive's scan order.  An executor may be,
+        say, a :class:`~repro.runtime.queue.WorkQueueExecutor` served
+        by ``repro-ids worker`` processes on other hosts.
         """
-        from repro.core.shard import ShardedScanner  # cycle-free import
-
         if not isinstance(archive, CaptureArchive):
             archive = CaptureArchive(archive)
-        scanner = ShardedScanner(
-            self.template,
-            self.config,
+        reports = self.scan_captures(
+            archive.paths,
             workers=workers,
+            infer_k=infer_k,
             executor=executor,
             chunk_windows=chunk_windows,
         )
-        captures = []
-        for scan in scanner.scan_archive(archive):
-            alerts = [w.to_alert() for w in scan.windows if w.alarm]
-            report = self._finish_report(scan.windows, alerts, infer_k)
-            captures.append((scan.path, report))
-        return ArchiveReport(captures=captures)
+        return ArchiveReport(captures=list(zip(archive.paths, reports)))
 
     def analyze_multibus(
         self,

@@ -36,13 +36,13 @@ from repro.core.detector import WindowResult
 from repro.core.engine import DEFAULT_CHUNK_WINDOWS
 from repro.core.entropy import binary_entropy
 from repro.core.kernel import KernelWorkspace, WindowBlock, scan_windows
-from repro.core.shard import ShardedScanner
 from repro.core.template import GoldenTemplate
 from repro.experiments.bench import bench_record
 from repro.io.archive import CaptureArchive
 from repro.io.columnar import ColumnTrace
 from repro.io.csvlog import read_csv, read_csv_columns, write_csv_columns
 from repro.io.log import read_candump, read_candump_columns, write_candump_columns
+from repro.runtime import EntropyScanSpec, PoolExecutor
 from repro.vehicle.ids_catalog import VehicleCatalog
 from repro.vehicle.traffic import generate_drive_columns
 
@@ -918,9 +918,10 @@ def run_archive(
 
     * **loading** — the record round-trip (``read_candump`` +
       ``to_columns``) against the columnar-native reader, frames/s;
-    * **sharded scanning** — :class:`~repro.core.shard.ShardedScanner`
-      over the whole archive (workers load *and* detect) at each pool
-      size in ``worker_counts``.
+    * **sharded scanning** — a :class:`~repro.runtime.pool.PoolExecutor`
+      running :class:`~repro.runtime.base.EntropyScanSpec` over the
+      whole archive (workers load *and* detect) at each pool size in
+      ``worker_counts``.
 
     The archive is written under ``archive_dir`` (a temporary directory
     by default, cleaned up afterwards).
@@ -966,10 +967,10 @@ def run_archive(
 
         total = n_captures * frames_per_capture
         scaling = []
+        spec = EntropyScanSpec(template, config)
         for workers in worker_counts:
-            scanner = ShardedScanner(template, config, workers=workers)
             start = time.perf_counter()
-            scans = scanner.scan_archive(archive)
+            scans = PoolExecutor(workers).run(spec, archive.paths)
             elapsed = time.perf_counter() - start
             assert len(scans) == n_captures
             scaling.append((int(workers), total / elapsed))

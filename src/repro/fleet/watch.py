@@ -6,9 +6,9 @@ yesterday's captures have not changed and neither has the template.
 :func:`watch_scan` diffs a :class:`~repro.io.archive.CaptureArchive`
 snapshot against the vehicle's :class:`~repro.fleet.ledger.ScanLedger`
 and scans **only** captures whose content fingerprint is new or changed
-— through the exact same :class:`~repro.core.shard.ShardedScanner` +
-inference path a cold :meth:`IDSPipeline.analyze_archive` run takes —
-then replays the cached reports for everything else.
+— through :meth:`IDSPipeline.scan_captures`, the same scan + inference
+step a cold :meth:`IDSPipeline.analyze_archive` run takes — then
+replays the cached reports for everything else.
 
 The headline guarantee, asserted by ``tests/test_fleet_watch.py``: the
 assembled :class:`~repro.core.pipeline.ArchiveReport` is **bit-identical
@@ -17,9 +17,9 @@ results are trivially identical (same code, same bytes); cached results
 are identical because the ledger's columnar entries carry the raw bytes
 of every window array (:func:`repro.fleet.ledger.encode_report`) and
 because the ledger invalidates itself whenever the detection context —
-template, config, identifier pool, ``infer_k`` — changes.  Cached
-captures replay as block-backed reports: no per-window objects are
-built unless a caller asks for them.
+template, config, identifier pool, ``infer_k`` — changes.  Fresh and
+cached captures alike are block-backed reports: no per-window objects
+are built unless a caller asks for them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import List, Optional, Union
 
 from repro.core.config import IDSConfig
 from repro.core.pipeline import ArchiveReport, DetectionReport, IDSPipeline
-from repro.core.shard import ShardedScanner
 from repro.core.template import GoldenTemplate
 from repro.exceptions import ReproError
 from repro.fleet.ledger import ScanLedger, decode_report, encode_report
@@ -123,11 +122,11 @@ def watch_scan(
     """Scan an archive incrementally, updating its ledger.
 
     Captures whose relative path *and* content fingerprint match a
-    ledger entry replay the persisted report; everything else fans out
-    through :class:`ShardedScanner` (``workers``, ``executor`` and the
-    out-of-core ``chunk_windows`` as in
-    :meth:`IDSPipeline.analyze_archive` — any runtime backend, same
-    bit-identical result) and lands in the ledger for next time.
+    ledger entry replay the persisted report; everything else goes
+    through :meth:`IDSPipeline.scan_captures` (``workers``,
+    ``executor`` and the out-of-core ``chunk_windows`` as there — any
+    runtime backend, same bit-identical result) and lands in the ledger
+    for next time.
     Entries for captures no longer present are pruned, and the ledger
     is saved atomically before returning.
     """
@@ -166,16 +165,11 @@ def watch_scan(
 
     scanned_paths = [archive.paths[i] for i in stale]
     if stale:
-        scanner = ShardedScanner(
-            pipeline.template, pipeline.config, workers=workers,
+        fresh = pipeline.scan_captures(
+            scanned_paths, workers=workers, infer_k=infer_k,
             executor=executor, chunk_windows=chunk_windows,
         )
-        for i, scan in zip(stale, scanner.scan_archive(scanned_paths)):
-            alerts = [w.to_alert() for w in scan.windows if w.alarm]
-            # _finish_report is the same inference + assembly step
-            # analyze_archive runs, shared so cold and incremental scans
-            # cannot drift apart.
-            report = pipeline._finish_report(scan.windows, alerts, infer_k)
+        for i, report in zip(stale, fresh):
             reports[i] = report
             ledger.put(rels[i], fingerprints[i], encode_report(report))
 

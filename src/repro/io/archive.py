@@ -15,8 +15,8 @@ capture files that may collectively be far larger than RAM.
   materialising any single capture.
 
 The archive does not interpret captures (no detection here); the
-scanning layers (:mod:`repro.core.shard`,
-:meth:`repro.core.pipeline.IDSPipeline.analyze_archive`) build on it.
+scanning layers (:mod:`repro.runtime`,
+:meth:`repro.core.pipeline.IDSPipeline.scan_captures`) build on it.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Every scan path in the repository — cold ``analyze_archive``,
 incremental ``watch_scan``, fleet-wide ``analyze_fleet`` — reduces to
 the same *shard task*: given a detection context and a capture file
 path, load the capture through the columnar readers and return the
-per-window verdicts.  :class:`Executor` is the protocol over that task:
+per-window verdicts as one :class:`~repro.core.kernel.WindowBlock`.
+:class:`Executor` is the protocol over that task:
 
 * :meth:`Executor.run` takes a :class:`ScanSpec` (the per-capture work
   description) and a sequence of capture paths, and returns one result
@@ -16,8 +17,9 @@ Four backends implement it:
 
 * :class:`~repro.runtime.serial.SerialExecutor` — one process, one
   loop; the reference semantics;
-* :class:`~repro.runtime.pool.PoolExecutor` — the ``multiprocessing``
-  pool extracted from the original ``ShardedScanner``;
+* :class:`~repro.runtime.pool.PoolExecutor` — a ``multiprocessing``
+  pool on one host (the default of
+  :meth:`~repro.core.pipeline.IDSPipeline.scan_captures`);
 * :class:`~repro.runtime.queue.WorkQueueExecutor` — a filesystem work
   queue; independent ``repro-ids worker`` processes (on this host or
   any host sharing the directory) claim tasks via atomic rename and
@@ -40,12 +42,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Any, Callable, List, Optional, Sequence, Union
 
 from repro.baselines.base import BaselineIDS, BaselineVerdict
-from repro.core.alerts import AlertSink
 from repro.core.config import IDSConfig
-from repro.core.detector import WindowResult
 from repro.core.engine import DEFAULT_CHUNK_WINDOWS, BatchEntropyEngine
 # The columnar result payload (RESULT_VERSION, RESULT_FIELDS) is
 # WindowBlock's codec, shared by fabric results and fleet-ledger entries;
@@ -104,7 +104,7 @@ class ScanSpec(ABC):
     portable = False
 
     @abstractmethod
-    def make_scanner(self) -> Callable[[str], list]:
+    def make_scanner(self) -> Callable[[str], Any]:
         """Build the per-process ``path -> result`` callable."""
 
     def to_payload(self) -> dict:
@@ -114,13 +114,13 @@ class ScanSpec(ABC):
             f"queue; use the serial or pool executor"
         )
 
-    def encode_result(self, result: list) -> dict:
+    def encode_result(self, result: Any) -> dict:
         """Serialise one task's result for transport (portable specs)."""
         raise DetectorError(
             f"{type(self).__name__} results cannot cross a work queue"
         )
 
-    def decode_result(self, payload: dict) -> list:
+    def decode_result(self, payload: dict) -> Any:
         """Inverse of :meth:`encode_result`; :class:`TaskFormatError`
         on a payload it cannot decode exactly."""
         raise DetectorError(
@@ -130,20 +130,25 @@ class ScanSpec(ABC):
 
 @dataclass(frozen=True)
 class EntropyScanSpec(ScanSpec):
-    """The paper's detector over one capture: ``BatchEntropyEngine.scan``.
+    """The paper's detector over one capture (``scan_block``).
 
-    Results are ``List[WindowResult]`` — exactly what the serial scan
-    produces, and (via the lossless columnar codec,
+    Each result is one :class:`~repro.core.kernel.WindowBlock` — exactly
+    what the serial scan produces, and (via the lossless columnar codec,
     :meth:`encode_result`) exactly what a remote worker uploads.
 
     ``chunk_windows`` switches the worker to the out-of-core path:
     captures are loaded lazily (memory-mapped for ``.npz``) and scanned
-    through :meth:`BatchEntropyEngine.scan_stream` in chunks of that
-    many detection windows — bit-identical results, bounded memory.
-    ``.npb`` captures take that path on both routes (in chunks of
-    :data:`~repro.core.engine.DEFAULT_CHUNK_WINDOWS` without
+    through :meth:`BatchEntropyEngine.scan_stream_block` in chunks of
+    that many detection windows — bit-identical results, bounded
+    memory.  ``.npb`` captures take that path on both routes (in chunks
+    of :data:`~repro.core.engine.DEFAULT_CHUNK_WINDOWS` without
     ``chunk_windows``), so their blocks inflate only the columns the
     kernel reads.
+
+    A template that monitors another bit width than the config is
+    refused at construction, so a mismatch fails in the submitting
+    process before any worker starts (and a worker refuses a remote
+    payload that carries one).
     """
 
     template: GoldenTemplate
@@ -152,20 +157,27 @@ class EntropyScanSpec(ScanSpec):
 
     portable = True
 
-    def make_scanner(self) -> Callable[[str], List[WindowResult]]:
-        engine = BatchEntropyEngine(self.template, self.config, AlertSink())
+    def __post_init__(self) -> None:
+        if self.template.n_bits != self.config.n_bits:
+            raise DetectorError(
+                f"template monitors {self.template.n_bits} bits, config "
+                f"expects {self.config.n_bits}"
+            )
+
+    def make_scanner(self) -> Callable[[str], WindowBlock]:
+        engine = BatchEntropyEngine(self.template, self.config)
         in_ram = self.chunk_windows is None
         chunk_windows = DEFAULT_CHUNK_WINDOWS if in_ram else int(self.chunk_windows)
 
-        def scan(path: str) -> List[WindowResult]:
+        def scan(path: str) -> WindowBlock:
             if in_ram and capture_suffix(path) != BLOCKS_SUFFIX:
-                return engine.scan(load_capture_columns(path))
+                return engine.scan_block(load_capture_columns(path))
             # Streaming sources (mapped npz, block-compressed npb) keep
             # the worker's memory bounded; the reader handle — if the
             # source has one — is released when the scan ends.
             source = open_capture_stream(path)
             try:
-                return engine.scan_stream(source, chunk_windows)
+                return engine.scan_stream_block(source, chunk_windows)
             finally:
                 close = getattr(source, "close", None)
                 if close is not None:
@@ -191,22 +203,18 @@ class EntropyScanSpec(ScanSpec):
             payload["chunk_windows"] = int(self.chunk_windows)
         return payload
 
-    def encode_result(self, result: List[WindowResult]) -> dict:
-        # The lossless columnar payload (WindowBlock.to_payload), so an
-        # uploaded result is bit-identical to a local one.
-        block = WindowBlock.from_results(
-            result, self.config.n_bits, self.config.window_us
-        )
-        return block.to_payload()
+    def encode_result(self, result: WindowBlock) -> dict:
+        # The lossless columnar payload, so an uploaded result is
+        # bit-identical to a local one.
+        return result.to_payload()
 
-    def decode_result(self, payload: dict) -> List[WindowResult]:
+    def decode_result(self, payload: dict) -> WindowBlock:
         try:
-            block = WindowBlock.from_payload(
+            return WindowBlock.from_payload(
                 payload, self.config.n_bits, self.config.window_us
             )
         except ValueError as exc:
             raise TaskFormatError(f"malformed result payload: {exc}") from exc
-        return block.results()
 
 
 @dataclass(frozen=True)
@@ -261,7 +269,7 @@ class Executor(ABC):
     """
 
     @abstractmethod
-    def run(self, spec: ScanSpec, paths: Sequence[Union[str, Path]]) -> List[list]:
+    def run(self, spec: ScanSpec, paths: Sequence[Union[str, Path]]) -> List[Any]:
         """Execute the spec over every path; results in input order."""
 
     def describe(self) -> str:

@@ -1,10 +1,12 @@
-"""The multiprocessing executor (extracted from ``ShardedScanner``).
+"""The multiprocessing executor: the default of ``scan_captures``.
 
 One capture archive, many CPU cores: the pool backend fans shard tasks
 across a ``multiprocessing`` pool, one task per capture.  Workers build
 their scanner once (pool initializer) and receive only *paths* per
 task — captures are loaded inside the worker through the columnar
-readers, so no bulk frame data crosses the process boundary.
+readers, so no bulk frame data crosses the process boundary; each
+capture's verdicts come back as one pickled
+:class:`~repro.core.kernel.WindowBlock`.
 
 ``pool.map`` preserves task order, so results are deterministic no
 matter which worker finishes first; a single worker (or a single task)

@@ -6,6 +6,7 @@ import pytest
 from repro.core.bitprob import BitCounter
 from repro.core.config import IDSConfig
 from repro.core.inference import InferenceEngine, InferenceResult
+from repro.core.kernel import WindowBlock
 from repro.core.template import TemplateBuilder
 from repro.exceptions import InferenceError
 from repro.io.trace import Trace, TraceRecord
@@ -189,27 +190,46 @@ class TestMultiInference:
         assert sum(result.member_shares) == pytest.approx(1.0, abs=1e-6)
 
 
+def two_window_block(probabilities, n_messages, alarm, judged=(True, True)):
+    """A 2-row WindowBlock carrying only what inference reads."""
+    n_bits = len(probabilities[0])
+    violated = np.zeros((2, n_bits), dtype=bool)
+    violated[:, 0] = alarm
+    zeros = np.zeros((2, n_bits))
+    return WindowBlock(
+        window_us=1_000_000,
+        index=np.arange(2, dtype=np.int64),
+        t_start_us=np.array([0, 1_000_000], dtype=np.int64),
+        n_messages=np.asarray(n_messages, dtype=np.int64),
+        n_attack_messages=np.zeros(2, dtype=np.int64),
+        probabilities=np.asarray(probabilities, dtype=float),
+        entropy=zeros,
+        deviations=zeros.copy(),
+        violated=violated,
+        judged=np.asarray(judged, dtype=bool),
+    )
+
+
 class TestInferFromWindows:
     def test_aggregates_alarmed_windows(self, synthetic_setup, golden_template):
         _pool, _t, _c, engine = synthetic_setup
-
-        class FakeWindow:
-            def __init__(self, p, n, alarm):
-                self.probabilities = np.asarray(p)
-                self.n_messages = n
-                self.alarm = alarm
-                self.judged = True
-
         pool = list(engine.id_pool)
         p_attack = mixed_probabilities(pool, [pool[5]], 0.2)
-        windows = [
-            FakeWindow(p_attack, 1200, True),
-            FakeWindow(np.zeros(11), 1000, False),  # ignored: no alarm
-        ]
+        windows = two_window_block(
+            [p_attack, np.zeros(11)],  # row 1 is ignored: no alarm
+            n_messages=[1200, 1000],
+            alarm=[True, False],
+        )
         result = engine.infer_from_windows(windows, k=1)
         assert result.candidates[0] == pool[5]
 
     def test_requires_windows(self, synthetic_setup):
         _pool, _t, _c, engine = synthetic_setup
+        unjudged = two_window_block(
+            [np.zeros(11), np.zeros(11)],
+            n_messages=[3, 4],
+            alarm=[False, False],
+            judged=[False, False],
+        )
         with pytest.raises(InferenceError):
-            engine.infer_from_windows([], k=1)
+            engine.infer_from_windows(unjudged, k=1)

@@ -1,19 +1,22 @@
-"""Sharded archive scanning: determinism, serial parity, reporting."""
+"""Sharded archive scanning: determinism, serial parity, reporting.
+
+An archive scan is one task per capture through an executor
+(``IDSPipeline.scan_captures``, ``PoolExecutor`` by default); each task
+returns the capture's ``WindowBlock``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.attacks import SingleIDAttacker
 from repro.baselines import FrequencyIDS
-from repro.core import (
-    BatchEntropyEngine,
-    IDSPipeline,
-    ShardedScanner,
-)
-from repro.core.shard import default_workers
+from repro.core import BatchEntropyEngine, IDSPipeline
+from repro.core.kernel import RESULT_FIELDS
 from repro.exceptions import DetectorError
 from repro.io import CaptureArchive
 from repro.io.archive import load_capture_columns
+from repro.runtime import BaselineScanSpec, PoolExecutor
+from repro.runtime.pool import default_workers
 from repro.vehicle import VehicleSimulation
 from repro.vehicle.traffic import record_template_windows, simulate_drive
 
@@ -39,6 +42,11 @@ def archive_dir(tmp_path_factory, catalog):
     return directory
 
 
+@pytest.fixture()
+def pipeline(golden_template, ids_config):
+    return IDSPipeline(golden_template, ids_config)
+
+
 def assert_windows_identical(a, b):
     assert len(a) == len(b)
     for s, t in zip(a, b):
@@ -53,60 +61,67 @@ def assert_windows_identical(a, b):
         assert s.judged == t.judged
 
 
+def assert_blocks_identical(a, b):
+    assert a.window_us == b.window_us
+    for name, _dtype, _per_bit in RESULT_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+
+
 class TestShardedScanner:
-    def test_one_and_four_workers_identical(
-        self, golden_template, ids_config, archive_dir
-    ):
+    def test_one_and_four_workers_identical(self, pipeline, archive_dir):
         """The determinism satellite: results must not depend on the
         pool size, bit for bit."""
-        archive = CaptureArchive(archive_dir)
-        serial = ShardedScanner(
-            golden_template, ids_config, workers=1
-        ).scan_archive(archive)
-        sharded = ShardedScanner(
-            golden_template, ids_config, workers=4
-        ).scan_archive(archive)
-        assert [s.path for s in serial] == [s.path for s in sharded]
+        paths = CaptureArchive(archive_dir).paths
+        serial = pipeline.scan_captures(paths, workers=1)
+        sharded = pipeline.scan_captures(paths, workers=4)
+        assert len(serial) == len(sharded) == len(paths)
         for a, b in zip(serial, sharded):
-            assert_windows_identical(a.windows, b.windows)
+            assert_blocks_identical(a.block, b.block)
 
     def test_matches_plain_engine_scan(
-        self, golden_template, ids_config, archive_dir
+        self, pipeline, golden_template, ids_config, archive_dir
     ):
-        archive = CaptureArchive(archive_dir)
-        scans = ShardedScanner(
-            golden_template, ids_config, workers=2
-        ).scan_archive(archive)
+        paths = CaptureArchive(archive_dir).paths
+        reports = pipeline.scan_captures(paths, workers=2)
         engine = BatchEntropyEngine(golden_template, ids_config)
-        for scan in scans:
+        for path, report in zip(paths, reports):
             assert_windows_identical(
-                scan.windows, engine.scan(load_capture_columns(scan.path))
+                report.windows, engine.scan(load_capture_columns(path))
             )
 
-    def test_accepts_path_lists(self, golden_template, ids_config, archive_dir):
-        paths = sorted(archive_dir.glob("*.log"))
-        scans = ShardedScanner(
-            golden_template, ids_config, workers=2
-        ).scan_archive(paths)
-        assert [s.path for s in scans] == paths
-
-    def test_empty_archive(self, golden_template, ids_config, tmp_path):
-        assert ShardedScanner(golden_template, ids_config).scan_archive(
-            CaptureArchive(tmp_path)
-        ) == []
-
-    def test_alarmed_capture_flagged(
-        self, golden_template, ids_config, archive_dir
+    def test_accepts_path_lists(
+        self, pipeline, golden_template, ids_config, archive_dir
     ):
-        scans = ShardedScanner(
-            golden_template, ids_config, workers=2
-        ).scan_archive(CaptureArchive(archive_dir))
-        alarmed = [s.path.name for s in scans if s.alarmed]
+        paths = sorted(archive_dir.glob("*.log"))
+        reports = pipeline.scan_captures(paths, workers=2)
+        assert len(reports) == len(paths)
+        engine = BatchEntropyEngine(golden_template, ids_config)
+        for path, report in zip(paths, reports):
+            assert_blocks_identical(
+                report.block, engine.scan_block(load_capture_columns(path))
+            )
+
+    def test_empty_archive(self, pipeline, tmp_path):
+        assert pipeline.scan_captures(CaptureArchive(tmp_path).paths) == []
+        assert len(pipeline.analyze_archive(tmp_path)) == 0
+
+    def test_alarmed_capture_flagged(self, pipeline, archive_dir):
+        paths = CaptureArchive(archive_dir).paths
+        reports = pipeline.scan_captures(paths, workers=2)
+        alarmed = [
+            path.name
+            for path, report in zip(paths, reports)
+            if report.block.alarm_mask.any()
+        ]
         assert alarmed == ["cap3.csv"]
 
-    def test_rejects_bad_workers(self, golden_template, ids_config):
+    def test_rejects_bad_workers(self, pipeline, archive_dir):
         with pytest.raises(DetectorError):
-            ShardedScanner(golden_template, ids_config, workers=0)
+            PoolExecutor(workers=0)
+        with pytest.raises(DetectorError):
+            pipeline.scan_captures(CaptureArchive(archive_dir).paths, workers=0)
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1
@@ -114,25 +129,21 @@ class TestShardedScanner:
 
 class TestBaselineSharding:
     def test_baseline_verdicts_match_serial(
-        self, catalog, archive_dir, golden_template, ids_config
+        self, catalog, archive_dir, ids_config
     ):
         clean = record_template_windows(6, 2.0, seed=21, catalog=catalog)
         baseline = FrequencyIDS(window_us=ids_config.window_us).fit(clean)
         archive = CaptureArchive(archive_dir)
-        scanner = ShardedScanner(golden_template, ids_config, workers=2)
-        sharded = scanner.scan_archive_baseline(baseline, archive)
+        sharded = PoolExecutor(workers=2).run(
+            BaselineScanSpec(baseline), archive.paths
+        )
         assert len(sharded) == len(archive)
         for path, verdicts in zip(archive.paths, sharded):
             assert verdicts == baseline.scan(load_capture_columns(path))
 
-    def test_unfitted_baseline_rejected(
-        self, golden_template, ids_config, archive_dir
-    ):
-        scanner = ShardedScanner(golden_template, ids_config, workers=1)
+    def test_unfitted_baseline_rejected(self):
         with pytest.raises(DetectorError):
-            scanner.scan_archive_baseline(
-                FrequencyIDS(), CaptureArchive(archive_dir)
-            )
+            BaselineScanSpec(FrequencyIDS())
 
 
 class TestAnalyzeArchive:

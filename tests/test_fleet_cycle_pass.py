@@ -159,6 +159,8 @@ class TestReplayWithoutRows:
         cold_drift = aggregate_vehicle(
             "car-a", cold.report.captures, golden_template
         )
+        # The cold report is block-backed too: its dict builds rows.
+        cold_dict = cold.report.reports[3].to_dict()
 
         built = count_rows(monkeypatch)
         warm = watch_scan(pipeline, archive, ledger_path, workers=1)
@@ -174,5 +176,5 @@ class TestReplayWithoutRows:
         report = warm.report.reports[3]
         assert report.alerts
         assert built == {"results": 1, "result": len(report.windows)}
-        assert report.to_dict() == cold.report.reports[3].to_dict()
+        assert report.to_dict() == cold_dict
         assert built["results"] == 1

@@ -14,11 +14,12 @@ import pytest
 
 from repro.attacks import SingleIDAttacker
 from repro.baselines import FrequencyIDS
-from repro.core import IDSPipeline, ShardedScanner
+from repro.core import IDSPipeline
 from repro.exceptions import DetectorError
 from repro.fleet import FleetStore, watch_scan
 from repro.io import CaptureArchive
 from repro.runtime import (
+    BaselineScanSpec,
     EntropyScanSpec,
     NetExecutor,
     PoolExecutor,
@@ -140,15 +141,14 @@ class TestArchiveParity:
     def test_sharded_scanner_accepts_executor(
         self, golden_template, ids_config, archive_dir, tmp_path
     ):
-        serial = ShardedScanner(
-            golden_template, ids_config, workers=1
-        ).scan_archive(CaptureArchive(archive_dir))
-        queued = ShardedScanner(
-            golden_template,
-            ids_config,
+        paths = CaptureArchive(archive_dir).paths
+        pipeline = IDSPipeline(golden_template, ids_config)
+        serial = pipeline.scan_captures(paths, workers=1)
+        queued = pipeline.scan_captures(
+            paths,
             executor=WorkQueueExecutor(tmp_path / "q", timeout_s=120.0),
-        ).scan_archive(CaptureArchive(archive_dir))
-        assert [s.path for s in serial] == [s.path for s in queued]
+        )
+        assert len(serial) == len(queued) == len(paths)
         for a, b in zip(serial, queued):
             assert [w.to_dict() for w in a.windows] == [
                 w.to_dict() for w in b.windows
@@ -250,32 +250,27 @@ class TestBackendSelection:
             resolve_executor("carrier-pigeon")
 
     def test_queue_rejects_baseline_specs(
-        self, golden_template, ids_config, catalog, archive_dir, tmp_path
+        self, ids_config, catalog, archive_dir, tmp_path
     ):
         """A fitted baseline object is picklable, not portable: the
         queue backend must refuse instead of half-working."""
         clean = record_template_windows(6, 2.0, seed=21, catalog=catalog)
         baseline = FrequencyIDS(window_us=ids_config.window_us).fit(clean)
-        scanner = ShardedScanner(
-            golden_template,
-            ids_config,
-            executor=WorkQueueExecutor(tmp_path / "q"),
-        )
+        executor = WorkQueueExecutor(tmp_path / "q")
         with pytest.raises(DetectorError, match="work.queue"):
-            scanner.scan_archive_baseline(baseline, CaptureArchive(archive_dir))
+            executor.run(
+                BaselineScanSpec(baseline), CaptureArchive(archive_dir).paths
+            )
 
     def test_baseline_parity_serial_vs_pool(
-        self, golden_template, ids_config, catalog, archive_dir
+        self, ids_config, catalog, archive_dir
     ):
         clean = record_template_windows(6, 2.0, seed=21, catalog=catalog)
         baseline = FrequencyIDS(window_us=ids_config.window_us).fit(clean)
-        archive = CaptureArchive(archive_dir)
-        serial = ShardedScanner(
-            golden_template, ids_config, executor=SerialExecutor()
-        ).scan_archive_baseline(baseline, archive)
-        pooled = ShardedScanner(
-            golden_template, ids_config, executor=PoolExecutor(workers=2)
-        ).scan_archive_baseline(baseline, archive)
+        paths = CaptureArchive(archive_dir).paths
+        spec = BaselineScanSpec(baseline)
+        serial = SerialExecutor().run(spec, paths)
+        pooled = PoolExecutor(workers=2).run(spec, paths)
         assert serial == pooled
 
     def test_entropy_spec_payload_round_trip(self, golden_template, ids_config):

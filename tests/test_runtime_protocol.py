@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import FrequencyIDS
+from repro.core.kernel import WindowBlock
 from repro.exceptions import DetectorError
 from repro.runtime import (
     BaselineScanSpec,
@@ -225,6 +226,12 @@ class TestColumnarResultCodec:
     )
     ARRAYS = ("probabilities", "entropy", "deviations", "violated")
 
+    @staticmethod
+    def block(spec, windows):
+        return WindowBlock.from_results(
+            windows, spec.config.n_bits, spec.config.window_us
+        )
+
     def assert_bit_identical(self, got, want):
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -238,11 +245,11 @@ class TestColumnarResultCodec:
 
     def test_every_field_round_trips_bit_exactly(self, spec):
         windows = [_window(i, judged=i != 2) for i in range(5)]
-        payload = spec.encode_result(windows)
+        payload = spec.encode_result(self.block(spec, windows))
         assert payload["version"] == RESULT_VERSION
         got = spec.decode_result(json.loads(json.dumps(payload)))
         self.assert_bit_identical(got, windows)
-        assert np.signbit(got[0].deviations[0])
+        assert np.signbit(got.result(0).deviations[0])
 
     def test_real_scan_round_trips_bit_exactly(self, spec, capture_path):
         direct = spec.make_scanner()(str(capture_path))
@@ -251,9 +258,9 @@ class TestColumnarResultCodec:
         self.assert_bit_identical(got, direct)
 
     def test_zero_window_result_round_trips(self, spec):
-        payload = spec.encode_result([])
+        payload = spec.encode_result(self.block(spec, []))
         assert payload["windows"] == 0
-        assert spec.decode_result(payload) == []
+        assert len(spec.decode_result(payload)) == 0
 
     def test_payload_is_smaller_than_per_window_dicts(self, spec, capture_path):
         direct = spec.make_scanner()(str(capture_path))
@@ -264,7 +271,8 @@ class TestColumnarResultCodec:
     def test_a_day_of_windows_fits_the_message_ceiling(self, spec):
         """24 h of the default 2 s windows, as one result line."""
         day = [_window(i) for i in range(24 * 3600 // 2)]
-        outcome = TaskResult("j", 0, result=spec.encode_result(day))
+        payload = spec.encode_result(self.block(spec, day))
+        outcome = TaskResult("j", 0, result=payload)
         line = json.dumps({"type": "result", "outcome": outcome.to_wire()})
         assert len(line) < MAX_MESSAGE_BYTES / 2
 
@@ -274,11 +282,11 @@ class TestColumnarResultCodec:
         window = _window(0)
         window = dataclasses.replace(window, t_end_us=window.t_end_us + 1)
         with pytest.raises(DetectorError, match="long"):
-            spec.encode_result([window])
+            self.block(spec, [window])
 
     def test_rows_of_another_width_are_not_encoded(self, spec):
         with pytest.raises(DetectorError, match="shape"):
-            spec.encode_result([_window(0, n_bits=29)])
+            self.block(spec, [_window(0, n_bits=29)])
 
     @pytest.mark.parametrize(
         "tamper, message",
@@ -306,7 +314,8 @@ class TestColumnarResultCodec:
         ],
     )
     def test_malformed_payload_refused(self, spec, tamper, message):
-        payload = spec.encode_result([_window(i) for i in range(3)])
+        windows = [_window(i) for i in range(3)]
+        payload = spec.encode_result(self.block(spec, windows))
         tamper(payload)
         with pytest.raises(TaskFormatError, match=message):
             spec.decode_result(payload)
